@@ -27,6 +27,7 @@ from .graphs import (
     common_neighbors,
     is_connected,
     is_regular,
+    regular_degree,
     underlying,
 )
 from .spectra import DEFAULT_CLUSTER_TOL, Spectrum
@@ -124,11 +125,6 @@ def two_ev_candidates(d: int):
             yield cand
 
 
-def _regular_degree(G: Graph):
-    degs = {G.degree(v) for v in range(G.n)}
-    return degs.pop() if len(degs) == 1 else None
-
-
 def certify_two_ev(D: MixedGraph, k: int, tol: float = DEFAULT_CLUSTER_TOL) -> Certificate:
     """Decide whether the Hermitian adjacency matrix of D at order k has
     exactly two distinct eigenvalues."""
@@ -141,7 +137,7 @@ def certify_two_ev(D: MixedGraph, k: int, tol: float = DEFAULT_CLUSTER_TOL) -> C
 
     if k in EXACT_ORDERS:
         G = underlying(D)
-        d = _regular_degree(G)
+        d = regular_degree(G)
         if d is None or d == 0:
             return Certificate(False, k, D.n, method="exact-identity",
                                failure_reason="underlying graph is not regular")

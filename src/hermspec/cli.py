@@ -198,7 +198,7 @@ def cmd_verify_paper(args):
         print(json.dumps(report.to_json_obj(), indent=2))
     else:
         for c in report.checks:
-            status = "SKIP" if c.skipped else ("PASS" if c.passed else "FAIL")
+            status = "PASS" if c.passed else "FAIL"
             print(f"{status:4} {c.check_id:26} {c.elapsed:7.2f}s  {c.detail}")
         print(f"overall: {'pass' if report.passed else 'fail'} ({report.scale} scale)")
     return 0 if report.passed else 1

@@ -193,6 +193,12 @@ def is_regular(D: MixedGraph) -> bool:
     return all(t == prof[0] for t in prof)
 
 
+def regular_degree(G: Graph):
+    """The common degree of a regular graph, or None when it is irregular."""
+    degs = {G.degree(v) for v in range(G.n)}
+    return degs.pop() if len(degs) == 1 else None
+
+
 def common_neighbors(G: Graph, u, v) -> int:
     if u == v:
         raise GraphError("common_neighbors requires u != v")

@@ -1,6 +1,7 @@
 """Graph serialization.
 
-Oriented graphs use the standard digraph6 ASCII encoding ('&' header,
+Oriented graphs use the standard digraph6 ASCII encoding ('&' header, the
+order in one byte, or '~' and three bytes for 63 <= n <= 258047, then the
 row-major adjacency bits).  Mixed and signed graphs use a small line format:
 
     mixed <n>          signed <n>
@@ -13,12 +14,41 @@ from __future__ import annotations
 from .graphs import GraphError, MixedGraph, OrientedGraph, SignedGraph
 
 
+DIGRAPH6_MAX_N = 258047
+
+
+def _size_header(n: int) -> str:
+    """digraph6 N(n): one byte up to 62, else '~' and 18 bits in three bytes."""
+    if n <= 62:
+        return chr(n + 63)
+    if n > DIGRAPH6_MAX_N:
+        raise GraphError(f"digraph6 supports n <= {DIGRAPH6_MAX_N}, got {n}")
+    return "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
+
+
+def _parse_size(data: str):
+    """(n, rest of data) from a digraph6 N(n) prefix."""
+    if not data:
+        raise GraphError("digraph6 string has no size")
+    if data[0] != "~":
+        if not 0 <= ord(data[0]) - 63 <= 62:
+            raise GraphError(f"invalid digraph6 size byte {data[0]!r}")
+        return ord(data[0]) - 63, data[1:]
+    if data[1:2] == "~":
+        raise GraphError(f"digraph6 reader supports n <= {DIGRAPH6_MAX_N}")
+    if len(data) < 4 or any(not 0 <= ord(ch) - 63 <= 63 for ch in data[1:4]):
+        raise GraphError("truncated or invalid digraph6 size header")
+    n = 0
+    for ch in data[1:4]:
+        n = (n << 6) | (ord(ch) - 63)
+    return n, data[4:]
+
+
 def encode_digraph6(D: OrientedGraph) -> str:
     if not D.is_oriented:
         raise GraphError("digraph6 encodes oriented graphs only")
     n = D.n
-    if n > 62:
-        raise GraphError("digraph6 writer supports n <= 62")
+    header = _size_header(n)
     bits = [0] * (n * n)
     for u, v in D.arcs:
         bits[u * n + v] = 1
@@ -30,7 +60,7 @@ def encode_digraph6(D: OrientedGraph) -> str:
         for b in bits[i:i + 6]:
             val = (val << 1) | b
         chars.append(chr(val + 63))
-    return "&" + chr(n + 63) + "".join(chars)
+    return "&" + header + "".join(chars)
 
 
 def decode_digraph6(s: str) -> OrientedGraph:
@@ -39,12 +69,9 @@ def decode_digraph6(s: str) -> OrientedGraph:
         s = s[12:]
     if not s.startswith("&"):
         raise GraphError("not a digraph6 string (missing '&' header)")
-    data = s[1:]
-    n = ord(data[0]) - 63
-    if n < 0 or n > 62:
-        raise GraphError("digraph6 reader supports 0 <= n <= 62")
+    n, body = _parse_size(s[1:])
     bits = []
-    for ch in data[1:]:
+    for ch in body:
         val = ord(ch) - 63
         if val < 0 or val > 63:
             raise GraphError(f"invalid digraph6 character {ch!r}")

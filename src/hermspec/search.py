@@ -1,15 +1,27 @@
 """Exhaustive scans over orientations, mixed orientations and signings.
 
-Assignments are indexed 0 .. space-1 (bit or trit strings over the edge
-list), enumerated in fixed-size chunks and certified in bulk.  For
-k in {3, 4, 6} the two-eigenvalue filter is the integer quadratic identity
-evaluated with batched integer matrix products, so a 2^20-point scan needs
-no eigensolver calls.  Float filtering (other orders) batches LAPACK
-eigensolves; the module's own Jacobi solver cross-checks hits in the tests.
+Assignments of a state to every edge (arc either way, an undirected edge in
+mixed mode, a sign in signed mode) are indexed 0 .. space-1 as digit strings
+over the edge list.  A Hermitian matrix with exactly two eigenvalues r > s
+satisfies H^2 = pH - rs*I with p = r + s; its diagonal is the degree
+sequence, so only regular underlying graphs can have hits and every other
+graph is answered without a scan.
 
-The index space splits into contiguous prefix ranges that can be scanned
-independently and merged; results are deterministic regardless of the
-partitioning (hits are re-sorted by canonical encoding).
+For k in {3, 4, 6} and for signings the scan is a frontier search that
+decides the identity H^2 - pH + qI = 0 exactly, entry by entry, over the
+integer components of H = A + B*zeta.  Vertices are visited in a fixed
+order; visiting a vertex assigns all of its still-unassigned edges, which
+multiplies every partial assignment by states^t, and closes it.  Entry
+(u, w) of H^2 needs only rows u and w of H, so it is checked as soon as both
+u and w are closed, and failing partial assignments are dropped at once.
+The frontier is expanded depth first in blocks of at most `chunk` rows.
+Other orders filter chunks of complete assignments by batched LAPACK
+eigensolves.
+
+Both scans split their root (the first visited vertex's assignments, or the
+index space) into contiguous slices that can be scanned independently and
+merged; hits are re-sorted by canonical encoding, so results are the same
+for every partitioning.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ from .graphs import (
     SignedGraph,
     are_isomorphic,
     is_connected,
+    regular_degree,
 )
 from . import io as graph_io
 
@@ -96,16 +109,11 @@ def _graph_id(G: Graph):
     return f"graph(n={G.n},m={len(G.edges)})"
 
 
-def _regular_degree(G: Graph):
-    degs = {G.degree(v) for v in range(G.n)}
-    return degs.pop() if len(degs) == 1 else None
-
-
 def _candidate_pq(G: Graph):
     """(p, q) candidates for the exact two-eigenvalue identity, or [] when
     the underlying graph is irregular (its H^2 diagonal, the degree
     sequence, can then never be constant)."""
-    d = _regular_degree(G)
+    d = regular_degree(G)
     if d is None or d == 0:
         return []
     pairs = []
@@ -118,22 +126,23 @@ def _candidate_pq(G: Graph):
     return pairs
 
 
-def _ranges(space, partitions):
-    bounds = np.linspace(0, space, partitions + 1, dtype=np.int64)
+def _ranges(size, partitions):
+    bounds = np.linspace(0, size, partitions + 1, dtype=np.int64)
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
 
-def _run_partitions(space, scan_range, threads, partitions):
+def _run_partitions(size, scan_range, threads, partitions):
+    """Concatenated results of scan_range over contiguous slices of
+    range(size), in slice order."""
     if partitions is None:
         partitions = max(threads, 1)
-    ranges = _ranges(space, partitions)
+    ranges = _ranges(size, partitions)
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda r: scan_range(*r), ranges))
     else:
         parts = [scan_range(lo, hi) for lo, hi in ranges]
-    hits = [h for part in parts for h in part]
-    return hits
+    return [block for part in parts for block in part]
 
 
 def _exact_stamps(edges, n, k, mode):
@@ -241,11 +250,123 @@ def _decode_signed(digits_row, edges, n):
     return SignedGraph(n, tuple(signed))
 
 
-def _scan_fixed_underlying(G, k, mode, filter, tol, threads, partitions, chunk):
+def _visit_plan(G: Graph):
+    """Vertex order of the frontier search.  The next vertex is always one
+    with the fewest unassigned edges (lowest label on ties).  Yields
+    (vertex, indices of the edges it assigns, vertices closed so far)."""
+    unvisited = set(range(G.n))
+    visited = []
+
+    def new_edges(v):
+        return [e for e, (a, b) in enumerate(G.edges)
+                if v in (a, b) and (b if a == v else a) in unvisited]
+
+    while unvisited:
+        v = min(unvisited, key=lambda x: (len(new_edges(x)), x))
+        new = new_edges(v)
+        unvisited.remove(v)
+        visited.append(v)
+        yield v, new, tuple(visited)
+
+
+def _frontier_scan(G, k, mode, pq_pairs, threads, partitions, chunk):
+    """Digit rows of every assignment whose H satisfies H^2 - pH + qI = 0
+    for some candidate (p, q).  A frontier row is (candidate index, A, B,
+    digits); unassigned edges hold digit 0 and contribute nothing to A, B."""
     edges = list(G.edges)
-    m = len(edges)
+    n, m = G.n, len(edges)
+    SA, SB = _exact_stamps(edges, n, k, mode)
+    states = SA.shape[1]
+    c0, c1 = _SQ_CONST[k], _SQ_LIN[k]
+    P = np.array([p for p, _ in pq_pairs], dtype=np.int64)[:, None]
+    Q = np.array([q for _, q in pq_pairs], dtype=np.int64)[:, None]
+    plan = []
+    for v, new, closed in _visit_plan(G):
+        new = np.array(new, dtype=np.intp)
+        combos = (np.arange(states ** len(new))[:, None] // states ** np.arange(len(new))) % states
+        # each matrix entry belongs to one edge, so stamps of distinct edges
+        # never overlap and the entries stay in {-1, 0, 1}
+        plan.append((v, new, np.array(closed), combos.astype(np.int8),
+                     SA[new, combos].sum(axis=1).astype(np.int8),
+                     SB[new, combos].sum(axis=1).astype(np.int8)))
+
+    def expand(step, cand, A, B, D):
+        _, new, _, combos, dA, dB = plan[step]
+        rows, S = len(cand), len(combos)
+        D = np.repeat(D, S, axis=0)
+        D[:, new] = np.tile(combos, (rows, 1))
+        return (np.repeat(cand, S), (A[:, None] + dA).reshape(rows * S, n, n),
+                (B[:, None] + dB).reshape(rows * S, n, n), D)
+
+    def prune(step, cand, A, B, D):
+        """Keep rows where entry (v, w) of H^2 - pH + qI is 0 for every
+        closed w; v was just closed."""
+        v, _, closed, *_ = plan[step]
+        Av, Bv = A[:, v].astype(np.int64), B[:, v].astype(np.int64)
+        Aw, Bw = A[:, :, closed].astype(np.int64), B[:, :, closed].astype(np.int64)
+        bb = np.einsum("rx,rxw->rw", Bv, Bw)
+        res_a = (np.einsum("rx,rxw->rw", Av, Aw) + c0 * bb
+                 - P[cand] * A[:, v, closed] + Q[cand] * (closed == v))
+        res_b = (np.einsum("rx,rxw->rw", Av, Bw) + np.einsum("rx,rxw->rw", Bv, Aw) + c1 * bb
+                 - P[cand] * B[:, v, closed])
+        keep = ~(res_a.any(axis=1) | res_b.any(axis=1))
+        return cand[keep], A[keep], B[keep], D[keep]
+
+    def descend(step, frontier, out):
+        if step == len(plan):
+            out.append(frontier[3])
+            return
+        block = max(1, chunk // len(plan[step][3]))
+        for lo in range(0, len(frontier[0]), block):
+            survivors = prune(step, *expand(step, *(x[lo:lo + block] for x in frontier)))
+            if len(survivors[0]):
+                descend(step + 1, survivors, out)
+
+    # root frontier: candidate index times the first vertex's assignments
+    root = len(plan[0][3])
+
+    def scan_range(lo, hi):
+        out = []
+        _, new, _, combos, dA, dB = plan[0]
+        for clo in range(lo, hi, chunk):
+            idx = np.arange(clo, min(clo + chunk, hi))
+            D = np.zeros((len(idx), m), dtype=np.int8)
+            D[:, new] = combos[idx % root]
+            survivors = prune(0, idx // root, dA[idx % root], dB[idx % root], D)
+            if len(survivors[0]):
+                descend(1, survivors, out)
+        return out
+
+    return _run_partitions(len(pq_pairs) * root, scan_range, threads, partitions)
+
+
+def _float_scan(G, k, mode, tol, threads, partitions, chunk):
+    """Digit rows of every assignment with two eigenvalue clusters."""
+    edges = list(G.edges)
     base = 3 if mode == "mixed" else 2
-    space = base ** m
+    SA, SB = _float_stamps(edges, G.n, mode)
+    sigma = RootOfUnity(k).value
+
+    def scan_range(lo, hi):
+        found = []
+        for clo in range(lo, hi, chunk):
+            idx = np.arange(clo, min(clo + chunk, hi), dtype=np.int64)
+            digits, A, B = _assignments_to_components(idx, edges, G.n, SA, SB, base)
+            H = A.astype(np.complex128)
+            H[B > 0] += sigma
+            H[B < 0] += sigma.conjugate()
+            found.append(digits[_float_two_ev_mask(H, tol)])
+        return found
+
+    return _run_partitions(base ** len(edges), scan_range, threads, partitions)
+
+
+def _scan_fixed_underlying(G, k, mode, filter, tol, threads, partitions, chunk):
+    if filter != "two-ev":
+        raise SearchError(f"unknown filter {filter!r}; the only filter is 'two-ev'")
+    edges = list(G.edges)
+    base = 3 if mode == "mixed" else 2
+    space = base ** len(edges)
     if space > MAX_SPACE:
         raise SearchError(f"assignment space {space} exceeds limit {MAX_SPACE}")
     start = time.perf_counter()
@@ -254,68 +375,25 @@ def _scan_fixed_underlying(G, k, mode, filter, tol, threads, partitions, chunk):
         return SearchReport(_graph_id(G), mode, k, space, space, (), (),
                             time.perf_counter() - start)
 
+    exact = mode == "signed" or k in EXACT_ORDERS
+    pq_pairs = _candidate_pq(G) if exact else None
+    if (exact and not pq_pairs) or not regular_degree(G):
+        # H^2 = pH - rs*I has the degree sequence on its diagonal: an
+        # irregular (or edgeless) underlying graph has no hit at any order
+        return SearchReport(_graph_id(G), mode, k, space, 0, (), (),
+                            time.perf_counter() - start)
+
+    if exact:
+        blocks = _frontier_scan(G, 6 if mode == "signed" else k, mode, pq_pairs,
+                                threads, partitions, chunk)
+    else:
+        blocks = _float_scan(G, k, mode, tol, threads, partitions, chunk)
     decode = {"oriented": _decode_oriented, "mixed": _decode_mixed,
               "signed": _decode_signed}[mode]
-
-    if filter == "two-ev":
-        exact = mode == "signed" or k in EXACT_ORDERS
-        pq_pairs = _candidate_pq(G) if exact else None
-        if exact and not pq_pairs:
-            return SearchReport(_graph_id(G), mode, k, space, 0, (), (),
-                                time.perf_counter() - start)
-        if exact:
-            SA, SB = _exact_stamps(edges, G.n, 6 if mode == "signed" else k, mode)
-            sigma = None
-        else:
-            SA, SB = _float_stamps(edges, G.n, mode)
-            sigma = RootOfUnity(k).value
-
-        def scan_range(lo, hi):
-            found = []
-            for clo in range(lo, hi, chunk):
-                idx = np.arange(clo, min(clo + chunk, hi), dtype=np.int64)
-                digits, A, B = _assignments_to_components(idx, edges, G.n, SA, SB, base)
-                if exact:
-                    if mode == "signed":
-                        mask = _exact_signed_mask(A, pq_pairs)
-                    else:
-                        mask = _exact_two_ev_mask(A, B, k, pq_pairs)
-                else:
-                    H = A.astype(np.complex128)
-                    H += np.where(B > 0, sigma, 0) + np.where(B < 0, sigma.conjugate(), 0)
-                    mask = _float_two_ev_mask(H, tol)
-                for row in digits[mask]:
-                    found.append(decode(row, edges, G.n))
-            return found
-
-        hits = _run_partitions(space, scan_range, threads, partitions)
-    else:
-        # custom predicate: plain per-assignment loop
-        hits = []
-        for t in range(space):
-            digits = []
-            x = t
-            for _ in range(m):
-                digits.append(x % base)
-                x //= base
-            D = decode(digits, edges, G.n)
-            if filter(D):
-                hits.append(D)
-
-    hits = _canonical_sort(hits)
+    hits = _canonical_sort([decode(row, edges, G.n) for block in blocks for row in block])
     reps = dedup_up_to_iso(hits)
     return SearchReport(_graph_id(G), mode, k, space, 0, hits, reps,
                         time.perf_counter() - start)
-
-
-def _exact_signed_mask(S, pq_pairs):
-    n = S.shape[1]
-    S2 = np.matmul(S, S)
-    eye = np.eye(n, dtype=np.int64)
-    mask = np.zeros(S.shape[0], dtype=bool)
-    for p, q in pq_pairs:
-        mask |= np.abs(S2 - p * S + q * eye).max(axis=(1, 2)) == 0
-    return mask
 
 
 def search_orientations(G: Graph, k: int, filter="two-ev", tol=1e-6, threads=1,

@@ -93,6 +93,13 @@ class TestConstruct:
         assert code == 0
         assert graph_io.load_graph(out).n == 7
 
+    @pytest.mark.parametrize("what, arg, n", [("hypercube", "6", 64), ("hypercube", "7", 128),
+                                              ("tournament", "67", 67)])
+    def test_large_digraph6_output(self, capsys, what, arg, n):
+        code, out, _ = run(capsys, "construct", what, arg)
+        assert code == 0
+        assert graph_io.load_graph(out).n == n
+
     def test_missing_arg(self, capsys):
         assert run(capsys, "construct", "paley")[0] == 2
 

@@ -213,6 +213,24 @@ class TestIO:
         for D in (directed_triangle(), oriented_k33(), oriented_k55_minus_matching()):
             assert graph_io.decode_digraph6(graph_io.encode_digraph6(D)) == D
 
+    @pytest.mark.parametrize("n", [62, 63, 64, 128])
+    def test_digraph6_round_trip_large(self, n):
+        rng = np.random.default_rng(n)
+        arcs = [(u, v) if rng.random() < 0.5 else (v, u)
+                for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        D = OrientedGraph(n, arcs)
+        text = graph_io.encode_digraph6(D)
+        assert text[1] == ("~" if n > 62 else chr(n + 63))
+        assert graph_io.decode_digraph6(text) == D
+
+    def test_digraph6_size_limit(self):
+        with pytest.raises(GraphError):
+            graph_io.encode_digraph6(OrientedGraph(258048))
+        with pytest.raises(GraphError):
+            graph_io.decode_digraph6("&~~??????")
+        with pytest.raises(GraphError):
+            graph_io.decode_digraph6("&~?")
+
     def test_digraph6_header_variants(self):
         s = graph_io.encode_digraph6(directed_triangle())
         assert graph_io.decode_digraph6(">>digraph6<<" + s) == directed_triangle()

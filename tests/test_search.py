@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hermspec.constructions import mixed_c4, oriented_k33
+from hermspec.constructions import mixed_c4, oriented_k33, oriented_k55_minus_matching
 from hermspec.cyclotomic import signed_adjacency
 from hermspec.graphs import (
     Graph,
@@ -13,10 +13,19 @@ from hermspec.graphs import (
     complete_graph,
     cycle_graph,
     is_connected,
+    k55_minus_matching,
     underlying,
 )
 from hermspec.search import (
     SearchError,
+    _assignments_to_components,
+    _candidate_pq,
+    _canonical_sort,
+    _decode_mixed,
+    _decode_oriented,
+    _decode_signed,
+    _exact_stamps,
+    _exact_two_ev_mask,
     connected_edge_subsets,
     dedup_up_to_iso,
     scan_connected_oriented_graphs,
@@ -175,3 +184,85 @@ class TestEnumeration:
         rep = scan_connected_oriented_graphs(12, 4)
         assert len(rep.hits_up_to_iso) == 1
         assert are_isomorphic(rep.hits_up_to_iso[0], OrientedGraph(2, [(0, 1)]))
+
+
+def _brute_force(G, k, mode):
+    """Oracle: decide H^2 - pH + qI = 0 on every one of the base^m complete
+    assignments at once, with no pruning."""
+    edges = list(G.edges)
+    base = 3 if mode == "mixed" else 2
+    pq = _candidate_pq(G)
+    if not pq:
+        return (), ()
+    kk = 6 if mode == "signed" else k
+    SA, SB = _exact_stamps(edges, G.n, kk, mode)
+    idx = np.arange(base ** len(edges), dtype=np.int64)
+    digits, A, B = _assignments_to_components(idx, edges, G.n, SA, SB, base)
+    decode = {"oriented": _decode_oriented, "mixed": _decode_mixed,
+              "signed": _decode_signed}[mode]
+    mask = _exact_two_ev_mask(A, B, kk, pq)
+    hits = _canonical_sort([decode(row, edges, G.n) for row in digits[mask]])
+    return hits, dedup_up_to_iso(hits)
+
+
+def _scan(G, k, mode, **kw):
+    if mode == "oriented":
+        return search_orientations(G, k, **kw)
+    if mode == "mixed":
+        return search_mixed_orientations(G, k, **kw)
+    return search_signings(G, **kw)
+
+
+class TestFrontierOracle:
+    """The frontier search against the brute-force identity check."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_connected_labelled_graph(self, n):
+        runs = [(mode, k) for mode in ("oriented", "mixed") for k in (3, 4, 6)]
+        runs.append(("signed", None))
+        hit_total = 0
+        for G in connected_edge_subsets(n):
+            for mode, k in runs:
+                rep = _scan(G, k, mode)
+                hits, reps = _brute_force(G, k, mode)
+                assert (rep.hits, rep.hits_up_to_iso) == (hits, reps), (G.edges, mode, k)
+                hit_total += len(hits)
+        assert hit_total > 0
+
+    @pytest.mark.parametrize("G, mode", [(complete_bipartite(3, 3), "oriented"),
+                                         (cycle_graph(4), "mixed")])
+    def test_split_and_chunk_invariance(self, G, mode):
+        base = _scan(G, 6, mode)
+        assert base.hits
+        variants = [dict(partitions=p) for p in (1, 3, 7)]
+        variants += [dict(threads=2), dict(chunk=1), dict(threads=2, partitions=7, chunk=1)]
+        for kw in variants:
+            rep = _scan(G, 6, mode, **kw)
+            assert (rep.hits, rep.hits_up_to_iso) == (base.hits, base.hits_up_to_iso), kw
+
+    def test_k55_minus_matching(self):
+        rep = search_orientations(k55_minus_matching(), 6)
+        assert rep.space_size == 2 ** 20
+        assert len(rep.hits) == 12 and len(rep.hits_up_to_iso) == 1
+        assert are_isomorphic(rep.hits_up_to_iso[0], oriented_k55_minus_matching())
+
+    def test_only_two_ev_filter(self):
+        with pytest.raises(SearchError):
+            search_orientations(cycle_graph(4), 6, filter=lambda D: True)
+        with pytest.raises(SearchError):
+            search_signings(cycle_graph(4), filter="three-ev")
+
+
+class TestRegularityExit:
+    def test_irregular_graph_float_order(self):
+        # a path has irregular degrees: no hit at any order, nothing scanned
+        path = Graph(4, ((0, 1), (1, 2), (2, 3)))
+        for k in (5, 6, 12):
+            rep = search_orientations(path, k)
+            assert (rep.space_size, rep.skipped_disconnected, rep.hits) == (8, 0, ())
+        rep = search_mixed_orientations(path, 5)
+        assert (rep.space_size, rep.skipped_disconnected, rep.hits) == (27, 0, ())
+
+    def test_desk_scan_counts(self):
+        rep = scan_connected_oriented_graphs(10, 5)
+        assert (rep.space_size, len(rep.hits), len(rep.hits_up_to_iso)) == (55894, 2, 1)
