@@ -241,7 +241,6 @@ def build_parser():
     p = sub.add_parser("search", help="exhaustive orientation/mixed/signing scan")
     p.add_argument("underlying", help="K6, K3,3, C4, cube, K55-M or a graph file")
     p.add_argument("--mode", choices=["oriented", "mixed", "signed"], default="oriented")
-    p.add_argument("--filter", choices=["two-ev"], default="two-ev")
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: HERMSPEC_THREADS or 1)")
     common(p)

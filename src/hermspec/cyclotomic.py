@@ -1,8 +1,17 @@
-"""Exact arithmetic in Z[zeta_k] for k in {3, 4, 6}, and exact Hermitian matrices.
+"""Hermitian adjacency matrices of oriented, mixed and signed graphs.
 
-An element is a + b*zeta where zeta = exp(2*pi*i/k).  For these three
-orders zeta satisfies an integer quadratic, so products reduce back to the
-same form and matrix identities can be decided with no rounding:
+A graph with a state on every edge is encoded once, as a pair of integer
+matrices (R, S): R holds the real unit entries (1 for an undirected edge,
++1/-1 for a signed edge) and S holds +1 where H = zeta and -1 where
+H = conj(zeta) (an arc u->v puts +1 at (u, v) and -1 at (v, u)).  Every
+matrix is one elementwise map of (R, S) at the order k:
+
+    complex_matrix:    H = R + zeta*[S > 0] + conj(zeta)*[S < 0], any k >= 3
+    exact_components:  H = A + B*zeta over Z[zeta_k], k in {3, 4, 6}
+
+For those three orders zeta satisfies an integer quadratic, so products
+reduce back to the form a + b*zeta and matrix identities can be decided with
+no rounding:
 
     k=6:  zeta^2 =  zeta - 1      conj(zeta) =  1 - zeta
     k=4:  zeta^2 = -1             conj(zeta) =    - zeta
@@ -237,47 +246,73 @@ def exact_quadratic_check(H: ExactHermitianMatrix, p: int, q: int) -> bool:
     return bool(np.all(res_a == 0) and np.all(res_b == 0))
 
 
-def build_exact_H(D, k) -> ExactHermitianMatrix:
-    """Hermitian adjacency matrix of a mixed graph over Z[zeta_k].
+# (R, S) written at (u, v) and at (v, u) by each state of an edge (u, v);
+# digit d of an assignment selects row d of its mode's table.
+_ARC = ((0, 1), (0, -1))  # arc u -> v: zeta at (u, v), conj(zeta) at (v, u)
+_REVERSED = ((0, -1), (0, 1))  # arc v -> u
+_EDGE = ((1, 0), (1, 0))  # undirected edge, or a positive sign
+EDGE_STATES = {
+    "oriented": np.array([_ARC, _REVERSED], dtype=np.int8),
+    "mixed": np.array([_ARC, _REVERSED, _EDGE], dtype=np.int8),
+    "signed": np.array([_EDGE, ((-1, 0), (-1, 0))], dtype=np.int8),
+}
 
-    Entry (u, v) is zeta for an arc u->v, conj(zeta) for an arc v->u,
-    1 for an undirected edge, and 0 otherwise.
-    """
+
+def relation_matrices(D):
+    """(R, S) of one oriented, mixed or signed graph."""
+    R = np.zeros((D.n, D.n), dtype=np.int64)
+    S = np.zeros_like(R)
+    for u, v in getattr(D, "arcs", ()):
+        S[u, v] = 1
+        S[v, u] = -1
+    for u, v in getattr(D, "edges", ()):
+        R[u, v] = R[v, u] = 1
+    for u, v, sign in getattr(D, "signed_edges", ()):
+        R[u, v] = R[v, u] = sign
+    return R, S
+
+
+def relation_stacks(digits, edges, n, mode):
+    """(R, S) stacks (C, n, n) of C assignments given as digit rows (C, m)
+    over an edge list: digit d of edge (u, v) writes row d of
+    EDGE_STATES[mode] at (u, v) and (v, u)."""
+    vals = EDGE_STATES[mode][digits]
+    u, v = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    RS = np.zeros((len(digits), n, n, 2), dtype=np.int8)
+    RS[:, u, v] = vals[:, :, 0]
+    RS[:, v, u] = vals[:, :, 1]
+    return RS[..., 0], RS[..., 1]
+
+
+def exact_components(R, S, k):
+    """Integer components (A, B) of H = A + B*zeta over Z[zeta_k]:
+    A = R + cc*[S < 0] and B = [S > 0] + cl*[S < 0], where
+    conj(zeta) = cc + cl*zeta.  The brackets are lookups of S + 1."""
     if k not in EXACT_ORDERS:
-        raise CycError(f"no exact arithmetic for order {k}; use build_float_H")
-    n = D.n
-    A = np.zeros((n, n), dtype=object)
-    B = np.zeros((n, n), dtype=object)
-    cc, cl = _CONJ_CONST[k], _CONJ_LIN[k]
-    for u, v in D.arcs:
-        B[u, v] = 1
-        A[v, u] = cc
-        B[v, u] = cl
-    for u, v in D.edges:
-        A[u, v] = 1
-        A[v, u] = 1
-    return ExactHermitianMatrix(A, B, k)
+        raise CycError(f"no exact arithmetic for order {k}; use complex_matrix")
+    idx = S + 1
+    return R + np.array([_CONJ_CONST[k], 0, 0])[idx], np.array([_CONJ_LIN[k], 0, 1])[idx]
+
+
+def complex_matrix(R, S, k):
+    """H = R + zeta*[S > 0] + conj(zeta)*[S < 0] in double precision; the
+    brackets are a lookup of S + 1."""
+    z = RootOfUnity(k).value
+    H = np.array([z.conjugate(), 0, z])[S + 1]
+    H += R
+    return H
+
+
+def build_exact_H(D, k) -> ExactHermitianMatrix:
+    """Hermitian adjacency matrix of a mixed graph over Z[zeta_k]."""
+    return ExactHermitianMatrix(*exact_components(*relation_matrices(D), k), k)
 
 
 def build_float_H(D, sigma: RootOfUnity | int) -> np.ndarray:
     """Complex Hermitian adjacency matrix in double precision, any k >= 3."""
-    if isinstance(sigma, int):
-        sigma = RootOfUnity(sigma)
-    z = sigma.value
-    H = np.zeros((D.n, D.n), dtype=np.complex128)
-    for u, v in D.arcs:
-        H[u, v] = z
-        H[v, u] = z.conjugate()
-    for u, v in D.edges:
-        H[u, v] = 1.0
-        H[v, u] = 1.0
-    return H
+    return complex_matrix(*relation_matrices(D), getattr(sigma, "k", sigma))
 
 
 def signed_adjacency(S) -> np.ndarray:
     """Integer adjacency matrix of a signed graph."""
-    M = np.zeros((S.n, S.n), dtype=np.int64)
-    for u, v, sign in S.signed_edges:
-        M[u, v] = sign
-        M[v, u] = sign
-    return M
+    return relation_matrices(S)[0]

@@ -299,12 +299,9 @@ def bipartite_double(D: OrientedGraph) -> OrientedGraph:
     return OrientedGraph(2 * n, arcs)
 
 
-def _relation_code(D, rel, u, v):
-    """Relation of the ordered pair (u, v): 0 none, 1 arc u->v, 2 arc v->u, 3 edge."""
-    return rel.get((u, v), 0)
-
-
 def _relation_table(D: MixedGraph):
+    """Relation code of each related ordered pair (u, v): 1 arc u->v,
+    2 arc v->u, 3 edge.  Unrelated pairs are absent (code 0)."""
     rel = {}
     for u, v in D.arcs:
         rel[(u, v)] = 1
@@ -341,7 +338,7 @@ def are_isomorphic(D1: MixedGraph, D2: MixedGraph) -> bool:
             ok = True
             for j in range(i):
                 x = order[j]
-                if _relation_code(D1, rel1, u, x) != _relation_code(D2, rel2, w, mapping[x]):
+                if rel1.get((u, x), 0) != rel2.get((w, mapping[x]), 0):
                     ok = False
                     break
             if ok:

@@ -95,42 +95,56 @@ def encode_signed(S: SignedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_relation_lines(lines):
-    for line in lines:
+def _int_token(token, lineno):
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphError(f"line {lineno}: expected an integer, got {token!r}") from None
+
+
+def _parse_relation_text(text, kind):
+    """(n, [(line number, u, op, v), ...]) of a '<kind> <n>' text.  Errors
+    name the 1-based line of text they were found on."""
+    lines = text.splitlines()
+    start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    if start == len(lines) or not lines[start].lstrip().startswith(kind + " "):
+        raise GraphError(f"missing '{kind} <n>' header")
+    header = lines[start].split()
+    n = _int_token(header[1] if len(header) > 1 else "", start + 1)
+    if n < 0:
+        raise GraphError(f"line {start + 1}: negative order {n}")
+    relations = []
+    for lineno, line in enumerate(lines[start + 1:], start + 2):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != 3 or parts[1] not in (">", "-", "+"):
-            raise GraphError(f"cannot parse relation line {line!r}")
-        yield int(parts[0]), parts[1], int(parts[2])
+            raise GraphError(f"line {lineno}: cannot parse relation line {line!r}")
+        relations.append((lineno, _int_token(parts[0], lineno), parts[1],
+                          _int_token(parts[2], lineno)))
+    return n, relations
 
 
 def decode_mixed(text: str) -> MixedGraph:
-    lines = text.strip().splitlines()
-    if not lines or not lines[0].startswith("mixed "):
-        raise GraphError("missing 'mixed <n>' header")
-    n = int(lines[0].split()[1])
+    n, relations = _parse_relation_text(text, "mixed")
     arcs, edges = [], []
-    for u, op, v in _parse_relation_lines(lines[1:]):
+    for lineno, u, op, v in relations:
         if op == ">":
             arcs.append((u, v))
         elif op == "-":
             edges.append((u, v))
         else:
-            raise GraphError("'+' is not valid in mixed format")
+            raise GraphError(f"line {lineno}: '+' is not valid in mixed format")
     return MixedGraph(n, tuple(arcs), tuple(edges))
 
 
 def decode_signed(text: str) -> SignedGraph:
-    lines = text.strip().splitlines()
-    if not lines or not lines[0].startswith("signed "):
-        raise GraphError("missing 'signed <n>' header")
-    n = int(lines[0].split()[1])
+    n, relations = _parse_relation_text(text, "signed")
     signed = []
-    for u, op, v in _parse_relation_lines(lines[1:]):
+    for lineno, u, op, v in relations:
         if op == ">":
-            raise GraphError("'>' is not valid in signed format")
+            raise GraphError(f"line {lineno}: '>' is not valid in signed format")
         signed.append((u, v, 1 if op == "+" else -1))
     return SignedGraph(n, tuple(signed))
 
@@ -141,9 +155,9 @@ def load_graph(text: str):
     if stripped.startswith("&") or stripped.startswith(">>digraph6<<"):
         return decode_digraph6(stripped.splitlines()[0])
     if stripped.startswith("mixed "):
-        return decode_mixed(stripped)
+        return decode_mixed(text)
     if stripped.startswith("signed "):
-        return decode_signed(stripped)
+        return decode_signed(text)
     raise GraphError("unrecognized graph format")
 
 

@@ -2,7 +2,9 @@
 
 Assignments of a state to every edge (arc either way, an undirected edge in
 mixed mode, a sign in signed mode) are indexed 0 .. space-1 as digit strings
-over the edge list.  A Hermitian matrix with exactly two eigenvalues r > s
+over the edge list.  `cyclotomic.relation_stacks` turns digit rows into the
+(R, S) encoding, which `exact_components` or `complex_matrix` map to H at
+the scanned order.  A Hermitian matrix with exactly two eigenvalues r > s
 satisfies H^2 = pH - rs*I with p = r + s; its diagonal is the degree
 sequence, so only regular underlying graphs can have hits and every other
 graph is answered without a scan.
@@ -11,9 +13,10 @@ For k in {3, 4, 6} and for signings the scan is a frontier search that
 decides the identity H^2 - pH + qI = 0 exactly, entry by entry, over the
 integer components of H = A + B*zeta.  Vertices are visited in a fixed
 order; visiting a vertex assigns all of its still-unassigned edges, which
-multiplies every partial assignment by states^t, and closes it.  Entry
-(u, w) of H^2 needs only rows u and w of H, so it is checked as soon as both
-u and w are closed, and failing partial assignments are dropped at once.
+multiplies every partial assignment by states^t (adding the components of
+the new edges' states), and closes it.  Entry (u, w) of H^2 needs only rows
+u and w of H, so it is checked as soon as both u and w are closed, and
+failing partial assignments are dropped at once.
 The frontier is expanded depth first in blocks of at most `chunk` rows.
 Other orders filter chunks of complete assignments by batched LAPACK
 eigensolves.
@@ -34,7 +37,15 @@ from itertools import combinations
 import numpy as np
 
 from .certify import two_ev_candidates
-from .cyclotomic import EXACT_ORDERS, RootOfUnity, _CONJ_CONST, _CONJ_LIN, _SQ_CONST, _SQ_LIN
+from .cyclotomic import (
+    EDGE_STATES,
+    EXACT_ORDERS,
+    _SQ_CONST,
+    _SQ_LIN,
+    complex_matrix,
+    exact_components,
+    relation_stacks,
+)
 from .graphs import (
     Graph,
     MixedGraph,
@@ -93,13 +104,12 @@ def _canonical_sort(graphs):
 
 def dedup_up_to_iso(graphs):
     """Greedy isomorphism deduplication; input order is preserved."""
+    graphs = tuple(graphs)
+    if graphs and isinstance(graphs[0], SignedGraph):
+        # signed hits are deduplicated on exact equality only
+        return tuple(dict.fromkeys(graphs))
     reps = []
     for g in graphs:
-        if isinstance(g, SignedGraph):
-            # signed hits are deduplicated on exact equality only
-            if g not in reps:
-                reps.append(g)
-            continue
         if not any(are_isomorphic(g, r) for r in reps):
             reps.append(g)
     return tuple(reps)
@@ -126,6 +136,12 @@ def _candidate_pq(G: Graph):
     return pairs
 
 
+def _digits(idx, m, base):
+    """Digit rows (len(idx), m) of assignment indices: digit e is the state
+    of edge e, least significant first."""
+    return (idx[:, None] // base ** np.arange(m)) % base
+
+
 def _ranges(size, partitions):
     bounds = np.linspace(0, size, partitions + 1, dtype=np.int64)
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
@@ -143,63 +159,6 @@ def _run_partitions(size, scan_range, threads, partitions):
     else:
         parts = [scan_range(lo, hi) for lo, hi in ranges]
     return [block for part in parts for block in part]
-
-
-def _exact_stamps(edges, n, k, mode):
-    """Per-edge component stamps for each assignment state.
-
-    mode 'oriented'/'signed' has 2 states per edge, 'mixed' has 3
-    (arc u->v, arc v->u, undirected edge).
-    """
-    cc, cl = _CONJ_CONST[k], _CONJ_LIN[k]
-    states = 3 if mode == "mixed" else 2
-    SA = np.zeros((len(edges), states, n, n), dtype=np.int64)
-    SB = np.zeros_like(SA)
-    for e, (u, v) in enumerate(edges):
-        if mode == "signed":
-            SA[e, 0, u, v] = SA[e, 0, v, u] = 1
-            SA[e, 1, u, v] = SA[e, 1, v, u] = -1
-            continue
-        # state 0: arc u -> v
-        SB[e, 0, u, v] = 1
-        SA[e, 0, v, u] = cc
-        SB[e, 0, v, u] = cl
-        # state 1: arc v -> u
-        SB[e, 1, v, u] = 1
-        SA[e, 1, u, v] = cc
-        SB[e, 1, u, v] = cl
-        if mode == "mixed":
-            SA[e, 2, u, v] = SA[e, 2, v, u] = 1
-    return SA, SB
-
-
-def _float_stamps(edges, n, mode):
-    """Stamps for float scans: B holds +1 where H = sigma and -1 where
-    H = conj(sigma); A holds real unit entries (undirected edges)."""
-    states = 3 if mode == "mixed" else 2
-    SA = np.zeros((len(edges), states, n, n), dtype=np.int64)
-    SB = np.zeros_like(SA)
-    for e, (u, v) in enumerate(edges):
-        SB[e, 0, u, v] = 1
-        SB[e, 0, v, u] = -1
-        SB[e, 1, v, u] = 1
-        SB[e, 1, u, v] = -1
-        if mode == "mixed":
-            SA[e, 2, u, v] = SA[e, 2, v, u] = 1
-    return SA, SB
-
-
-def _assignments_to_components(idx, edges, n, SA, SB, base):
-    """Component matrices (A, B) for a vector of assignment indices."""
-    m = len(edges)
-    states = SA.shape[1]
-    C = len(idx)
-    digits = (idx[:, None] // base ** np.arange(m)) % base
-    onehot = np.zeros((C, m * states), dtype=np.int64)
-    onehot[np.arange(C)[:, None], np.arange(m) * states + digits] = 1
-    A = (onehot @ SA.reshape(m * states, n * n)).reshape(C, n, n)
-    B = (onehot @ SB.reshape(m * states, n * n)).reshape(C, n, n)
-    return digits, A, B
 
 
 def _exact_two_ev_mask(A, B, k, pq_pairs):
@@ -275,20 +234,18 @@ def _frontier_scan(G, k, mode, pq_pairs, threads, partitions, chunk):
     digits); unassigned edges hold digit 0 and contribute nothing to A, B."""
     edges = list(G.edges)
     n, m = G.n, len(edges)
-    SA, SB = _exact_stamps(edges, n, k, mode)
-    states = SA.shape[1]
+    states = len(EDGE_STATES[mode])
     c0, c1 = _SQ_CONST[k], _SQ_LIN[k]
     P = np.array([p for p, _ in pq_pairs], dtype=np.int64)[:, None]
     Q = np.array([q for _, q in pq_pairs], dtype=np.int64)[:, None]
     plan = []
     for v, new, closed in _visit_plan(G):
-        new = np.array(new, dtype=np.intp)
-        combos = (np.arange(states ** len(new))[:, None] // states ** np.arange(len(new))) % states
-        # each matrix entry belongs to one edge, so stamps of distinct edges
-        # never overlap and the entries stay in {-1, 0, 1}
-        plan.append((v, new, np.array(closed), combos.astype(np.int8),
-                     SA[new, combos].sum(axis=1).astype(np.int8),
-                     SB[new, combos].sum(axis=1).astype(np.int8)))
+        combos = _digits(np.arange(states ** len(new)), len(new), states).astype(np.int8)
+        # each matrix entry belongs to one edge, so the deltas of distinct
+        # edges never overlap and the entries stay in {-1, 0, 1}
+        dA, dB = exact_components(*relation_stacks(combos, [edges[e] for e in new], n, mode), k)
+        plan.append((v, np.array(new, dtype=np.intp), np.array(closed), combos,
+                     dA.astype(np.int8), dB.astype(np.int8)))
 
     def expand(step, cand, A, B, D):
         _, new, _, combos, dA, dB = plan[step]
@@ -343,18 +300,13 @@ def _frontier_scan(G, k, mode, pq_pairs, threads, partitions, chunk):
 def _float_scan(G, k, mode, tol, threads, partitions, chunk):
     """Digit rows of every assignment with two eigenvalue clusters."""
     edges = list(G.edges)
-    base = 3 if mode == "mixed" else 2
-    SA, SB = _float_stamps(edges, G.n, mode)
-    sigma = RootOfUnity(k).value
+    base = len(EDGE_STATES[mode])
 
     def scan_range(lo, hi):
         found = []
         for clo in range(lo, hi, chunk):
-            idx = np.arange(clo, min(clo + chunk, hi), dtype=np.int64)
-            digits, A, B = _assignments_to_components(idx, edges, G.n, SA, SB, base)
-            H = A.astype(np.complex128)
-            H[B > 0] += sigma
-            H[B < 0] += sigma.conjugate()
+            digits = _digits(np.arange(clo, min(clo + chunk, hi)), len(edges), base)
+            H = complex_matrix(*relation_stacks(digits, edges, G.n, mode), k)
             found.append(digits[_float_two_ev_mask(H, tol)])
         return found
 
@@ -365,8 +317,7 @@ def _scan_fixed_underlying(G, k, mode, filter, tol, threads, partitions, chunk):
     if filter != "two-ev":
         raise SearchError(f"unknown filter {filter!r}; the only filter is 'two-ev'")
     edges = list(G.edges)
-    base = 3 if mode == "mixed" else 2
-    space = base ** len(edges)
+    space = len(EDGE_STATES[mode]) ** len(edges)
     if space > MAX_SPACE:
         raise SearchError(f"assignment space {space} exceeds limit {MAX_SPACE}")
     start = time.perf_counter()

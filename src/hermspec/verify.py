@@ -31,7 +31,15 @@ from .constructions import (
     skew_hadamard_from_tournament,
     tournament_from_skew_hadamard,
 )
-from .cyclotomic import EXACT_ORDERS, RootOfUnity, build_float_H, signed_adjacency
+from .cyclotomic import (
+    EXACT_ORDERS,
+    RootOfUnity,
+    build_float_H,
+    complex_matrix,
+    exact_components,
+    relation_stacks,
+    signed_adjacency,
+)
 from .graphs import (
     Graph,
     MixedGraph,
@@ -48,11 +56,8 @@ from .graphs import (
     underlying,
 )
 from .search import (
-    _assignments_to_components,
     _candidate_pq,
-    _exact_stamps,
     _exact_two_ev_mask,
-    _float_stamps,
     _float_two_ev_mask,
     connected_edge_subsets,
     scan_connected_oriented_graphs,
@@ -363,24 +368,17 @@ def check_property_suites(scale="full"):
     graphs_checked = 0
     for n in range(2, n_cap + 1):
         for G in connected_edge_subsets(n):
-            edges = list(G.edges)
-            m = len(edges)
+            m = len(G.edges)
             space = 3 ** m
-            idx = np.arange(space, dtype=np.int64)
+            digits = (np.arange(space)[:, None] // 3 ** np.arange(m)) % 3
+            R, S = relation_stacks(digits, G.edges, n, "mixed")
+            pq = _candidate_pq(G)
             for k in EXACT_ORDERS:
-                pq = _candidate_pq(G)
-                SA, SB = _exact_stamps(edges, n, k, "mixed")
-                _, A, B = _assignments_to_components(idx, edges, n, SA, SB, 3)
                 exact_mask = (
-                    _exact_two_ev_mask(A, B, k, pq) if pq
+                    _exact_two_ev_mask(*exact_components(R, S, k), k, pq) if pq
                     else np.zeros(space, dtype=bool)
                 )
-                FA, FB = _float_stamps(edges, n, "mixed")
-                _, Af, Bf = _assignments_to_components(idx, edges, n, FA, FB, 3)
-                sigma = RootOfUnity(k).value
-                H = Af.astype(np.complex128)
-                H += np.where(Bf > 0, sigma, 0) + np.where(Bf < 0, sigma.conjugate(), 0)
-                float_mask = _float_two_ev_mask(H, 1e-6)
+                float_mask = _float_two_ev_mask(complex_matrix(R, S, k), 1e-6)
                 if not np.array_equal(exact_mask, float_mask):
                     bad = int(np.nonzero(exact_mask != float_mask)[0][0])
                     return False, f"disagreement on n={n}, G={G.edges}, k={k}, index {bad}"

@@ -41,6 +41,13 @@ class TestSpectrum:
     def test_unknown_input(self, capsys):
         assert run(capsys, "spectrum", "no-such-graph")[0] == 2
 
+    def test_parse_error_names_line(self, tmp_path, capsys):
+        p = tmp_path / "bad.mx"
+        p.write_text("mixed 3\n0 > 1\na - 2\n")
+        code, _, err = run(capsys, "spectrum", str(p))
+        assert code == 2
+        assert "line 3" in err and "'a'" in err
+
 
 class TestCertify:
     def test_yes(self, capsys):

@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from hermspec.cyclotomic import (
+    EDGE_STATES,
     CycError,
     CycInt,
     ExactHermitianMatrix,
@@ -13,10 +15,18 @@ from hermspec.cyclotomic import (
     exact_matmul,
     exact_quadratic_check,
     one,
+    relation_matrices,
+    relation_stacks,
     signed_adjacency,
     zeta,
 )
 from hermspec.graphs import MixedGraph, OrientedGraph, SignedGraph
+from hermspec.search import (
+    _decode_mixed,
+    _decode_oriented,
+    _decode_signed,
+    connected_edge_subsets,
+)
 
 
 class TestRootOfUnity:
@@ -186,3 +196,66 @@ class TestSignedAdjacency:
         A = signed_adjacency(S)
         assert A.tolist() == [[0, 1, 0], [1, 0, -1], [0, -1, 0]]
         assert (A == A.T).all()
+
+
+def _loop_hermitian(D, k):
+    """H(D) at exp(2*pi*i/k), entry by entry."""
+    z = cmath.exp(2j * math.pi / k)
+    H = np.zeros((D.n, D.n), dtype=np.complex128)
+    for u, v in D.arcs:
+        H[u, v] = z
+        H[v, u] = z.conjugate()
+    for u, v in D.edges:
+        H[u, v] = H[v, u] = 1.0
+    return H
+
+
+def _random_graphs(rng, n):
+    """A random mixed graph and a random signed graph on n vertices."""
+    arcs, edges, signed = [], [], []
+    for u in range(n):
+        for v in range(u + 1, n):
+            kind = int(rng.integers(4))  # none, arc u->v, arc v->u, edge
+            if kind == 1:
+                arcs.append((u, v))
+            elif kind == 2:
+                arcs.append((v, u))
+            elif kind == 3:
+                edges.append((u, v))
+            if kind:
+                signed.append((u, v, int(rng.choice([1, -1]))))
+    return MixedGraph(n, tuple(arcs), tuple(edges)), SignedGraph(n, tuple(signed))
+
+
+class TestRelationMatrices:
+    def test_builders_match_entry_loops(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            D, S = _random_graphs(rng, n)
+            for k in range(3, 13):
+                H = _loop_hermitian(D, k)
+                assert np.array_equal(build_float_H(D, k), H)
+                assert np.array_equal(build_float_H(D, RootOfUnity(k)), H)
+                if k in (3, 4, 6):
+                    E = build_exact_H(D, k)
+                    assert E.A.dtype == object and E.B.dtype == object
+                    assert np.max(np.abs(E.embed() - H), initial=0) < 1e-15
+            M = np.zeros((n, n), dtype=np.int64)
+            for u, v, sign in S.signed_edges:
+                M[u, v] = M[v, u] = sign
+            assert np.array_equal(signed_adjacency(S), M)
+
+    @pytest.mark.parametrize("mode, decode", [("oriented", _decode_oriented),
+                                              ("mixed", _decode_mixed),
+                                              ("signed", _decode_signed)])
+    def test_stacks_match_decoded_graphs(self, mode, decode):
+        base = len(EDGE_STATES[mode])
+        for n in range(2, 5):
+            for G in connected_edge_subsets(n):
+                m = len(G.edges)
+                digits = (np.arange(base ** m)[:, None] // base ** np.arange(m)) % base
+                R, S = relation_stacks(digits, G.edges, n, mode)
+                for row, r, s in zip(digits, R, S):
+                    R1, S1 = relation_matrices(decode(row, G.edges, n))
+                    assert np.array_equal(r, R1) and np.array_equal(s, S1), (G.edges, row)

@@ -254,3 +254,17 @@ class TestIO:
             graph_io.load_graph("what is this")
         with pytest.raises(GraphError):
             graph_io.decode_mixed("mixed 2\n0 + 1\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("mixed x\n", 1),
+        ("mixed \n0 > 1\n", 1),
+        ("mixed -2\n", 1),
+        ("mixed 3\n0 > 1\na - 2\n", 3),
+        ("mixed 3\n0 > 1\n1 - 2.0\n", 3),
+        ("signed -1\n", 1),
+        ("signed 3\n0 + 1\n\n1 - z\n", 4),
+        ("\n  \nmixed 3\n# comment\n0 > x  # arc\n", 5),
+    ])
+    def test_parse_errors_name_the_line(self, text, line):
+        with pytest.raises(GraphError, match=f"^line {line}: "):
+            graph_io.load_graph(text)

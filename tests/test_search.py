@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from hermspec.constructions import mixed_c4, oriented_k33, oriented_k55_minus_matching
-from hermspec.cyclotomic import signed_adjacency
+from hermspec.cyclotomic import exact_components, relation_stacks, signed_adjacency
 from hermspec.graphs import (
     Graph,
     OrientedGraph,
+    SignedGraph,
     are_isomorphic,
     complete_bipartite,
     complete_graph,
@@ -18,13 +19,11 @@ from hermspec.graphs import (
 )
 from hermspec.search import (
     SearchError,
-    _assignments_to_components,
     _candidate_pq,
     _canonical_sort,
     _decode_mixed,
     _decode_oriented,
     _decode_signed,
-    _exact_stamps,
     _exact_two_ev_mask,
     connected_edge_subsets,
     dedup_up_to_iso,
@@ -158,6 +157,15 @@ class TestDedup:
         b = OrientedGraph(3, [(0, 1), (2, 1)])
         assert len(dedup_up_to_iso([a, b])) == 2
 
+    def test_signed_first_occurrences_in_order(self):
+        # isomorphic signings stay distinct; exact repeats collapse onto the
+        # first occurrence
+        a = SignedGraph(3, ((0, 1, 1), (1, 2, -1)))
+        b = SignedGraph(3, ((0, 1, -1), (1, 2, 1)))
+        c = SignedGraph(3, ((0, 1, 1), (1, 2, 1)))
+        a2 = SignedGraph(3, ((1, 2, -1), (0, 1, 1)))
+        assert dedup_up_to_iso([b, a, b, c, a2, c]) == (b, a, c)
+
 
 class TestEnumeration:
     def test_connected_edge_subsets_counts(self):
@@ -195,9 +203,8 @@ def _brute_force(G, k, mode):
     if not pq:
         return (), ()
     kk = 6 if mode == "signed" else k
-    SA, SB = _exact_stamps(edges, G.n, kk, mode)
-    idx = np.arange(base ** len(edges), dtype=np.int64)
-    digits, A, B = _assignments_to_components(idx, edges, G.n, SA, SB, base)
+    digits = (np.arange(base ** len(edges))[:, None] // base ** np.arange(len(edges))) % base
+    A, B = exact_components(*relation_stacks(digits, edges, G.n, mode), kk)
     decode = {"oriented": _decode_oriented, "mixed": _decode_mixed,
               "signed": _decode_signed}[mode]
     mask = _exact_two_ev_mask(A, B, kk, pq)
