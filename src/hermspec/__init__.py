@@ -44,7 +44,14 @@ from .search import (
     search_orientations,
     search_signings,
 )
-from .spectra import Spectrum, cluster, hermitian_eigenvalues, interlaces
+from .spectra import (
+    Spectrum,
+    char_poly_eigenvalues,
+    cluster,
+    hermitian_eigenvalues,
+    interlaces,
+    jacobi_eigenvalues,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -148,23 +148,54 @@ def one(k) -> CycInt:
     return CycInt(1, 0, k)
 
 
+# Entries of an exact matrix, and every entry of a product of two, stay
+# below this magnitude, so the sum of two such values still fits int64.
+_INT_LIMIT = 2 ** 62
+
+
+def _max_abs(A, B) -> int:
+    """Largest entry magnitude of two int64 arrays, as a Python int."""
+    if not A.size:
+        return 0
+    return max(int(A.max()), int(B.max()), -int(A.min()), -int(B.min()))
+
+
+def _int64_component(comp):
+    """An integer array-like as an int64 array.  Floats are refused rather
+    than truncated, and Python ints beyond int64 rather than wrapped."""
+    M = np.asarray(comp)
+    if M.dtype == object:
+        if not all(isinstance(x, (int, np.integer)) for x in M.flat):
+            raise CycError("component entries must be integers")
+    elif not np.can_cast(M.dtype, np.int64):
+        raise CycError(f"component entries must be integers, got dtype {M.dtype}")
+    try:
+        return M.astype(np.int64, copy=False)
+    except OverflowError:
+        raise CycError("component entries do not fit int64") from None
+
+
 class ExactHermitianMatrix:
     """Square matrix over Z[zeta_k] with M = M*.
 
-    Internally a pair of integer component matrices (A, B) with M = A + B*zeta,
+    Internally a pair of int64 component matrices (A, B) with M = A + B*zeta,
     so products reduce to a handful of integer matrix multiplications.
-    Entries stay bounded by the graph order at desk scale; object dtype
-    (arbitrary-width Python ints) is used so overflow cannot wrap.
+    Entries must stay below 2^62 in magnitude, and `exact_matmul`
+    refuses any product whose entries could reach it, so integer arithmetic
+    never wraps: a result is either exact or a CycError.  At desk scale
+    entries are bounded by the graph order.
     """
 
     def __init__(self, comp_a, comp_b, k, check=True):
         if k not in EXACT_ORDERS:
             raise CycError(f"no exact matrices for k={k}")
         self.k = k
-        self.A = np.asarray(comp_a, dtype=object)
-        self.B = np.asarray(comp_b, dtype=object)
+        self.A = _int64_component(comp_a)
+        self.B = _int64_component(comp_b)
         if self.A.shape != self.B.shape or self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
             raise CycError("component matrices must be square and same shape")
+        if _max_abs(self.A, self.B) >= _INT_LIMIT:
+            raise CycError("component entries must be below 2^62 in magnitude")
         if check and not self._is_hermitian():
             raise CycError("matrix is not Hermitian under the conjugation rule")
 
@@ -175,25 +206,25 @@ class ExactHermitianMatrix:
     def _is_hermitian(self):
         # conj(a + b z) = (a + cc*b) + cl*b*z
         cc, cl = _CONJ_CONST[self.k], _CONJ_LIN[self.k]
-        conj_a = (self.A + cc * self.B).T
-        conj_b = (cl * self.B).T
-        return bool(np.all(conj_a == self.A) and np.all(conj_b == self.B))
+        A, B = self.A, self.B
+        return bool(((A + cc * B).T == A).all() and ((cl * B).T == B).all())
 
     def entry(self, u, v) -> CycInt:
         return CycInt(int(self.A[u, v]), int(self.B[u, v]), self.k)
 
     @classmethod
     def zero(cls, n, k):
-        z = np.zeros((n, n), dtype=object)
+        z = np.zeros((n, n), dtype=np.int64)
         return cls(z, z.copy(), k, check=False)
 
     @classmethod
     def identity(cls, n, k):
-        return cls(np.eye(n, dtype=object), np.zeros((n, n), dtype=object), k, check=False)
+        return cls(np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64), k, check=False)
 
     @classmethod
     def all_ones(cls, n, k):
-        return cls(np.ones((n, n), dtype=object), np.zeros((n, n), dtype=object), k, check=False)
+        return cls(np.ones((n, n), dtype=np.int64), np.zeros((n, n), dtype=np.int64), k,
+                   check=False)
 
     def embed(self) -> np.ndarray:
         z = cmath.exp(2j * math.pi / self.k)
@@ -226,11 +257,15 @@ class ExactHermitianMatrix:
 
 
 def exact_matmul(X: ExactHermitianMatrix, Y: ExactHermitianMatrix):
-    """Exact product; returned components may no longer be Hermitian."""
+    """Exact product; returned components may no longer be Hermitian.
+    Raises CycError, before multiplying, when an entry of the result could
+    reach 2^62 (each is a sum of at most 3n products of entries)."""
     if X.k != Y.k:
         raise CycError("mixed orders")
     if X.n != Y.n:
         raise CycError("dimension mismatch")
+    if 3 * X.n * _max_abs(X.A, X.B) * _max_abs(Y.A, Y.B) >= _INT_LIMIT:
+        raise CycError("exact product could overflow int64")
     k = X.k
     cross = X.B @ Y.B
     comp_a = X.A @ Y.A + _SQ_CONST[k] * cross
@@ -240,8 +275,10 @@ def exact_matmul(X: ExactHermitianMatrix, Y: ExactHermitianMatrix):
 
 def exact_quadratic_check(H: ExactHermitianMatrix, p: int, q: int) -> bool:
     """Decide H^2 - p*H + q*I = 0 exactly over Z[zeta_k]."""
+    if abs(p) * max(1, _max_abs(H.A, H.B)) + abs(q) >= _INT_LIMIT:
+        raise CycError("coefficients p, q could overflow int64")
     sq_a, sq_b = exact_matmul(H, H)
-    res_a = sq_a - p * H.A + q * np.eye(H.n, dtype=object)
+    res_a = sq_a - p * H.A + q * np.eye(H.n, dtype=np.int64)
     res_b = sq_b - p * H.B
     return bool(np.all(res_a == 0) and np.all(res_b == 0))
 

@@ -102,9 +102,12 @@ def _int_token(token, lineno):
         raise GraphError(f"line {lineno}: expected an integer, got {token!r}") from None
 
 
+_RELATION_OPS = {"mixed": (">", "-"), "signed": ("+", "-")}
+
+
 def _parse_relation_text(text, kind):
-    """(n, [(line number, u, op, v), ...]) of a '<kind> <n>' text.  Errors
-    name the 1-based line of text they were found on."""
+    """(n, [(u, op, v), ...]) of a '<kind> <n>' text.  Errors name the
+    1-based line of text they were found on."""
     lines = text.splitlines()
     start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
     if start == len(lines) or not lines[start].lstrip().startswith(kind + " "):
@@ -114,6 +117,7 @@ def _parse_relation_text(text, kind):
     if n < 0:
         raise GraphError(f"line {start + 1}: negative order {n}")
     relations = []
+    first_line = {}  # unordered pair -> line it was given on
     for lineno, line in enumerate(lines[start + 1:], start + 2):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -121,32 +125,33 @@ def _parse_relation_text(text, kind):
         parts = line.split()
         if len(parts) != 3 or parts[1] not in (">", "-", "+"):
             raise GraphError(f"line {lineno}: cannot parse relation line {line!r}")
-        relations.append((lineno, _int_token(parts[0], lineno), parts[1],
-                          _int_token(parts[2], lineno)))
+        u, op, v = _int_token(parts[0], lineno), parts[1], _int_token(parts[2], lineno)
+        if op not in _RELATION_OPS[kind]:
+            raise GraphError(f"line {lineno}: '{op}' is not valid in {kind} format")
+        for x in (u, v):
+            if not 0 <= x < n:
+                raise GraphError(f"line {lineno}: vertex {x} out of range [0, {n})")
+        if u == v:
+            raise GraphError(f"line {lineno}: self-loop at {u}")
+        key = (min(u, v), max(u, v))
+        if key in first_line:
+            raise GraphError(f"line {lineno}: pair {key} already has a relation "
+                             f"on line {first_line[key]}")
+        first_line[key] = lineno
+        relations.append((u, op, v))
     return n, relations
 
 
 def decode_mixed(text: str) -> MixedGraph:
     n, relations = _parse_relation_text(text, "mixed")
-    arcs, edges = [], []
-    for lineno, u, op, v in relations:
-        if op == ">":
-            arcs.append((u, v))
-        elif op == "-":
-            edges.append((u, v))
-        else:
-            raise GraphError(f"line {lineno}: '+' is not valid in mixed format")
-    return MixedGraph(n, tuple(arcs), tuple(edges))
+    arcs = tuple((u, v) for u, op, v in relations if op == ">")
+    edges = tuple((u, v) for u, op, v in relations if op == "-")
+    return MixedGraph(n, arcs, edges)
 
 
 def decode_signed(text: str) -> SignedGraph:
     n, relations = _parse_relation_text(text, "signed")
-    signed = []
-    for lineno, u, op, v in relations:
-        if op == ">":
-            raise GraphError(f"line {lineno}: '>' is not valid in signed format")
-        signed.append((u, v, 1 if op == "+" else -1))
-    return SignedGraph(n, tuple(signed))
+    return SignedGraph(n, tuple((u, v, 1 if op == "+" else -1) for u, op, v in relations))
 
 
 def load_graph(text: str):

@@ -213,18 +213,23 @@ def _visit_plan(G: Graph):
     """Vertex order of the frontier search.  The next vertex is always one
     with the fewest unassigned edges (lowest label on ties).  Yields
     (vertex, indices of the edges it assigns, vertices closed so far)."""
+    incident = [[] for _ in range(G.n)]
+    for e, (a, b) in enumerate(G.edges):
+        incident[a].append(e)
+        incident[b].append(e)
+    unassigned = [len(es) for es in incident]
     unvisited = set(range(G.n))
     visited = []
-
-    def new_edges(v):
-        return [e for e, (a, b) in enumerate(G.edges)
-                if v in (a, b) and (b if a == v else a) in unvisited]
-
     while unvisited:
-        v = min(unvisited, key=lambda x: (len(new_edges(x)), x))
-        new = new_edges(v)
+        v = min(unvisited, key=lambda x: (unassigned[x], x))
         unvisited.remove(v)
         visited.append(v)
+        new = []
+        for e in incident[v]:
+            w = sum(G.edges[e]) - v
+            if w in unvisited:
+                new.append(e)
+                unassigned[w] -= 1
         yield v, new, tuple(visited)
 
 

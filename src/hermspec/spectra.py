@@ -1,8 +1,11 @@
-"""Floating-point Hermitian eigensolver, eigenvalue clustering, interlacing.
+"""Floating-point Hermitian eigensolvers, eigenvalue clustering, interlacing.
 
-The eigensolver is a classical cyclic Jacobi iteration with complex
-rotations: deterministic for a fixed input, no dependencies beyond numpy
-array storage, and accurate to ~1e-13 relative at desk scale.
+`hermitian_eigenvalues` is LAPACK's Hermitian eigensolver (numpy `eigvalsh`).
+Two independent solvers stay as oracles for tests and `verify-paper`: a
+classical cyclic Jacobi iteration with complex rotations
+(`jacobi_eigenvalues`, accurate to ~1e-13 relative at desk scale) and the
+roots of the cofactor-expanded characteristic polynomial
+(`char_poly_eigenvalues`, n <= 6).
 """
 
 from __future__ import annotations
@@ -22,26 +25,40 @@ class SpectraError(ValueError):
     pass
 
 
+def _hermitian_input(H) -> np.ndarray:
+    """H as a complex128 array, after checking that it is square, finite and
+    Hermitian within HERMITICITY_TOL * max(1, ||H||_F)."""
+    H = np.array(H, dtype=np.complex128)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise SpectraError("matrix must be square")
+    if not np.isfinite(H).all():
+        raise SpectraError("matrix has non-finite entries")
+    if H.size and np.max(np.abs(H - H.conj().T)) > HERMITICITY_TOL * max(1.0, np.linalg.norm(H)):
+        raise SpectraError("matrix is not Hermitian")
+    return H
+
+
+def hermitian_eigenvalues(H) -> np.ndarray:
+    """Real eigenvalues of a Hermitian matrix, descending (LAPACK)."""
+    return np.linalg.eigvalsh(_hermitian_input(H))[::-1]
+
+
 def _off_norm(H):
     return math.sqrt(max(0.0, np.linalg.norm(H) ** 2 - np.linalg.norm(np.diag(H)) ** 2))
 
 
-def hermitian_eigenvalues(H) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, descending.
+def jacobi_eigenvalues(H) -> np.ndarray:
+    """Independent oracle: real eigenvalues of a Hermitian matrix, descending.
 
     Cyclic Jacobi: sweep all (p, q) pairs, annihilating each off-diagonal
     entry with a complex rotation, until the off-diagonal Frobenius norm
     drops below 1e-13 * ||H||_F.
     """
-    H = np.array(H, dtype=np.complex128)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise SpectraError("matrix must be square")
+    H = _hermitian_input(H)
     n = H.shape[0]
     if n == 0:
         return np.zeros(0)
     norm = np.linalg.norm(H)
-    if np.max(np.abs(H - H.conj().T)) > HERMITICITY_TOL * max(1.0, norm):
-        raise SpectraError("matrix is not Hermitian")
     if n == 1:
         return np.array([H[0, 0].real])
     if norm == 0:

@@ -65,7 +65,7 @@ from .search import (
     search_orientations,
     search_signings,
 )
-from .spectra import Spectrum, hermitian_eigenvalues, interlaces
+from .spectra import Spectrum, hermitian_eigenvalues, interlaces, jacobi_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -350,12 +350,14 @@ def check_property_suites(scale="full"):
         child = Spectrum.of_matrix(build_float_H(induced_subgraph(D, S), k))
         if not interlaces(parent, child):
             return False, f"interlacing failed at trial {trial}: {D}, S={S}, k={k}"
-    # trace and Frobenius identities
+    # LAPACK against the Jacobi oracle, trace and Frobenius identities
     for trial in range(200):
         n = int(rng.integers(1, 9))
         D = _random_mixed_graph(rng, n)
         H = build_float_H(D, int(rng.integers(3, 13)))
         eigs = hermitian_eigenvalues(H)
+        if np.max(np.abs(eigs - jacobi_eigenvalues(H))) > 1e-10 * max(1.0, np.linalg.norm(H)):
+            return False, f"LAPACK and Jacobi eigenvalues disagree: {D}"
         if abs(eigs.sum() - np.trace(H).real) > 1e-9:
             return False, f"trace identity failed: {D}"
         if abs((eigs ** 2).sum() - np.linalg.norm(H) ** 2) > 1e-8:

@@ -48,6 +48,13 @@ class TestSpectrum:
         assert code == 2
         assert "line 3" in err and "'a'" in err
 
+    def test_graph_error_names_line(self, tmp_path, capsys):
+        p = tmp_path / "bad.mx"
+        p.write_text("mixed 3\n0 > 1\n1 > 7\n")
+        code, _, err = run(capsys, "spectrum", str(p))
+        assert code == 2
+        assert "line 3: vertex 7 out of range" in err
+
 
 class TestCertify:
     def test_yes(self, capsys):

@@ -155,6 +155,42 @@ class TestHermitianMatrix:
         assert (sq_a == -H.A + 2 * np.eye(3, dtype=object)).all()
         assert (sq_b == -H.B).all()
 
+    def test_matmul_exact_up_to_the_bound(self):
+        # 3 * n * max|X| * max|Y| = 3 * 2^59 < 2^62: exact, and the squares
+        # of the entries are 2^58
+        H = ExactHermitianMatrix([[0, 2 ** 29], [2 ** 29, 0]], [[0, 0], [0, 0]], 4)
+        sq_a, sq_b = exact_matmul(H, H)
+        assert sq_a.tolist() == [[2 ** 58, 0], [0, 2 ** 58]] and not sq_b.any()
+        assert exact_quadratic_check(H, 0, -(2 ** 58))
+
+    def test_matmul_overflow_refused(self):
+        H = ExactHermitianMatrix([[0, 2 ** 30], [2 ** 30, 0]], [[0, 0], [0, 0]], 4)
+        with pytest.raises(CycError, match="overflow"):
+            exact_matmul(H, H)
+        with pytest.raises(CycError, match="overflow"):
+            exact_quadratic_check(H, 0, -(2 ** 60))
+        small = build_exact_H(directed_triangle(), 6)
+        with pytest.raises(CycError, match="overflow"):
+            exact_quadratic_check(small, 2 ** 70, 0)
+
+    @pytest.mark.parametrize("big", [2 ** 62, 2 ** 63, 2 ** 70, -(2 ** 70)])
+    def test_json_entry_too_large(self, big):
+        obj = {"k": 6, "entries": [[[0, 0], [big, 0]], [[big, 0], [0, 0]]]}
+        with pytest.raises(CycError):
+            ExactHermitianMatrix.from_json_obj(obj)
+
+    @pytest.mark.parametrize("comp_a", [
+        [[0, 0.5], [0.5, 0]],
+        [[0, 1.0], [1.0, 0]],
+        [[0, "1"], ["1", 0]],
+        [[0, 2 ** 70], [0.5, 0]],
+        np.zeros((2, 2), dtype=np.uint64),
+    ])
+    def test_non_integer_entries_refused(self, comp_a):
+        # int64 conversion would truncate or wrap these silently
+        with pytest.raises(CycError, match="integers"):
+            ExactHermitianMatrix(comp_a, [[0, 0], [0, 0]], 4)
+
     def test_inexact_order_rejected(self):
         with pytest.raises(CycError):
             build_exact_H(directed_triangle(), 5)
@@ -239,7 +275,7 @@ class TestRelationMatrices:
                 assert np.array_equal(build_float_H(D, RootOfUnity(k)), H)
                 if k in (3, 4, 6):
                     E = build_exact_H(D, k)
-                    assert E.A.dtype == object and E.B.dtype == object
+                    assert E.A.dtype == np.int64 and E.B.dtype == np.int64
                     assert np.max(np.abs(E.embed() - H), initial=0) < 1e-15
             M = np.zeros((n, n), dtype=np.int64)
             for u, v, sign in S.signed_edges:

@@ -268,3 +268,18 @@ class TestIO:
     def test_parse_errors_name_the_line(self, text, line):
         with pytest.raises(GraphError, match=f"^line {line}: "):
             graph_io.load_graph(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("mixed 3\n0 > 1\n1 > 7\n", "line 3: vertex 7 out of range [0, 3)"),
+        ("mixed 3\n0 - 1\n\n-1 > 2\n", "line 4: vertex -1 out of range [0, 3)"),
+        ("signed 2\n0 + 2\n", "line 2: vertex 2 out of range [0, 2)"),
+        ("mixed 3\n0 > 1\n2 - 2\n", "line 3: self-loop at 2"),
+        ("signed 3\n1 + 1\n", "line 2: self-loop at 1"),
+        ("mixed 3\n0 > 1\n# comment\n1 - 0\n", "line 4: pair (0, 1) already has a relation on line 2"),
+        ("mixed 3\n1 > 2\n2 > 1\n", "line 3: pair (1, 2) already has a relation on line 2"),
+        ("signed 3\n0 + 1\n1 + 2\n1 - 0\n", "line 4: pair (0, 1) already has a relation on line 2"),
+    ])
+    def test_graph_errors_name_the_line(self, text, message):
+        with pytest.raises(GraphError) as info:
+            graph_io.load_graph(text)
+        assert str(info.value) == message

@@ -25,6 +25,7 @@ from hermspec.search import (
     _decode_oriented,
     _decode_signed,
     _exact_two_ev_mask,
+    _visit_plan,
     connected_edge_subsets,
     dedup_up_to_iso,
     scan_connected_oriented_graphs,
@@ -258,6 +259,32 @@ class TestFrontierOracle:
             search_orientations(cycle_graph(4), 6, filter=lambda D: True)
         with pytest.raises(SearchError):
             search_signings(cycle_graph(4), filter="three-ev")
+
+
+def _visit_plan_oracle(G):
+    """The frontier's visit order, recomputing every unvisited vertex's
+    unassigned edges at each step."""
+    unvisited = set(range(G.n))
+    visited = []
+
+    def new_edges(v):
+        return [e for e, (a, b) in enumerate(G.edges)
+                if v in (a, b) and (b if a == v else a) in unvisited]
+
+    while unvisited:
+        v = min(unvisited, key=lambda x: (len(new_edges(x)), x))
+        new = new_edges(v)
+        unvisited.remove(v)
+        visited.append(v)
+        yield v, new, tuple(visited)
+
+
+class TestVisitPlan:
+    def test_matches_recomputing_oracle(self):
+        graphs = [Graph(1, ()), k55_minus_matching()]
+        graphs += [G for n in range(2, 6) for G in connected_edge_subsets(n)]
+        for G in graphs:
+            assert list(_visit_plan(G)) == list(_visit_plan_oracle(G)), G.edges
 
 
 class TestRegularityExit:

@@ -12,6 +12,7 @@ from hermspec.spectra import (
     cluster,
     hermitian_eigenvalues,
     interlaces,
+    jacobi_eigenvalues,
 )
 
 
@@ -64,6 +65,34 @@ class TestEigenvalues:
     def test_non_hermitian_rejected(self):
         with pytest.raises(SpectraError):
             hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_jacobi_against_lapack(self):
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            H = random_hermitian(rng, int(rng.integers(2, 15)))
+            ours = jacobi_eigenvalues(H)
+            ref = np.linalg.eigvalsh(H)[::-1]
+            assert np.max(np.abs(ours - ref)) < 1e-10 * max(1.0, np.linalg.norm(H))
+
+    @pytest.mark.parametrize("solver", [hermitian_eigenvalues, jacobi_eigenvalues])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.nan)])
+    def test_non_finite_rejected(self, solver, bad):
+        H = np.array([[0, bad], [np.conj(bad), 0]], dtype=complex)
+        with pytest.raises(SpectraError, match="non-finite"):
+            solver(H)
+        with pytest.raises(SpectraError, match="non-finite"):
+            solver(np.array([[bad]], dtype=complex))
+
+    def test_three_solvers_agree_on_small_graphs(self):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            n = int(rng.integers(1, 5))
+            arcs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+            H = build_float_H(OrientedGraph(n, arcs), int(rng.choice([3, 4, 6])))
+            eigs = hermitian_eigenvalues(H)
+            scale = max(1.0, np.linalg.norm(H))
+            assert np.max(np.abs(eigs - jacobi_eigenvalues(H))) < 1e-10 * scale
+            assert np.max(np.abs(eigs - char_poly_eigenvalues(H))) < 1e-8
 
     def test_charpoly_oracle_small(self):
         rng = np.random.default_rng(3)
