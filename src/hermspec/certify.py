@@ -18,7 +18,7 @@ from .cyclotomic import (
     RootOfUnity,
     build_exact_H,
     build_float_H,
-    exact_quadratic_check,
+    exact_quadratic_checks,
 )
 from .graphs import (
     Graph,
@@ -132,18 +132,20 @@ def certify_two_ev(D: MixedGraph, k: int, tol: float = DEFAULT_CLUSTER_TOL) -> C
         raise CertifyError("root order must be >= 3")
     if D.n < 2:
         raise CertifyError("certification needs at least 2 vertices")
-    if not is_connected(D):
+    G = underlying(D)
+    if not is_connected(G):
         raise CertifyError("input graph is disconnected")
 
     if k in EXACT_ORDERS:
-        G = underlying(D)
         d = regular_degree(G)
         if d is None or d == 0:
             return Certificate(False, k, D.n, method="exact-identity",
                                failure_reason="underlying graph is not regular")
         H = build_exact_H(D, k)
-        for r_desc, s_desc, p, q in two_ev_candidates(d):
-            if not exact_quadratic_check(H, p, q):
+        candidates = list(two_ev_candidates(d))
+        holds = exact_quadratic_checks(H, [(p, q) for *_, p, q in candidates])
+        for (r_desc, s_desc, p, q), ok in zip(candidates, holds):
+            if not ok:
                 continue
             r, s = r_desc.value, s_desc.value
             m_float = D.n * (-s) / (r - s)

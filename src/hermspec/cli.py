@@ -162,11 +162,11 @@ def cmd_search(args):
         G = loaded.underlying() if isinstance(loaded, SignedGraph) else underlying(loaded)
     threads = args.threads or int(os.environ.get("HERMSPEC_THREADS", "1"))
     if args.mode == "oriented":
-        rep = search_orientations(G, args.k, tol=args.tol, threads=threads)
+        rep = search_orientations(G, args.k, threads=threads)
     elif args.mode == "mixed":
-        rep = search_mixed_orientations(G, args.k, tol=args.tol, threads=threads)
+        rep = search_mixed_orientations(G, args.k, threads=threads)
     else:
-        rep = search_signings(G, tol=args.tol, threads=threads)
+        rep = search_signings(G, threads=threads)
     obj = rep.to_json_obj()
     text = (f"space {rep.space_size}, hits {len(rep.hits)}, "
             f"{len(rep.hits_up_to_iso)} up to isomorphism, {rep.elapsed:.2f}s")
@@ -211,11 +211,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, k=True):
-        if k:
-            p.add_argument("--k", type=int, default=6, help="root of unity order (default 6)")
-        p.add_argument("--tol", type=float, default=DEFAULT_CLUSTER_TOL,
-                       help="eigenvalue clustering tolerance")
+    def common(p, tol=True):
+        p.add_argument("--k", type=int, default=6, help="root of unity order (default 6)")
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_CLUSTER_TOL,
+                           help="eigenvalue clustering tolerance")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("spectrum", help="eigenvalues and clusters of a graph")
@@ -243,7 +243,7 @@ def build_parser():
     p.add_argument("--mode", choices=["oriented", "mixed", "signed"], default="oriented")
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: HERMSPEC_THREADS or 1)")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("convert", help="signed <-> oriented bipartite transform")

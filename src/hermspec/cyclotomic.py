@@ -7,18 +7,20 @@ H = conj(zeta) (an arc u->v puts +1 at (u, v) and -1 at (v, u)).  Every
 matrix is one elementwise map of (R, S) at the order k:
 
     complex_matrix:    H = R + zeta*[S > 0] + conj(zeta)*[S < 0], any k >= 3
-    exact_components:  H = A + B*zeta over Z[zeta_k], k in {3, 4, 6}
+    exact_components:  the same H over the power basis of Z[zeta_k], any k >= 3
 
-For those three orders zeta satisfies an integer quadratic, so products
-reduce back to the form a + b*zeta and matrix identities can be decided with
-no rounding:
+Z[zeta_k] has the power basis 1, zeta, ..., zeta^(phi-1) with phi = phi(k),
+because the minimal polynomial of zeta, the cyclotomic polynomial Phi_k, is
+monic with integer coefficients.  Integer division by Phi_k gives the
+integer coordinates of every power zeta^j (`zeta_powers`), conj(zeta) =
+zeta^(k-1) among them, so sums and products of such elements are decided
+with no rounding.  For k in {3, 4, 6} the basis is 1, zeta and
 
     k=6:  zeta^2 =  zeta - 1      conj(zeta) =  1 - zeta
     k=4:  zeta^2 = -1             conj(zeta) =    - zeta
     k=3:  zeta^2 = -zeta - 1      conj(zeta) = -1 - zeta
 
-For any other order the constant term of small characteristic polynomials
-is already irrational, so only the floating-point representation exists.
+`CycInt` and `ExactHermitianMatrix` implement these three orders.
 """
 
 from __future__ import annotations
@@ -26,21 +28,88 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 EXACT_ORDERS = (3, 4, 6)
 
-# zeta^2 = _SQ_CONST[k] + _SQ_LIN[k] * zeta
-_SQ_CONST = {3: -1, 4: -1, 6: -1}
-_SQ_LIN = {3: -1, 4: 0, 6: 1}
-# conj(zeta) = _CONJ_CONST[k] + _CONJ_LIN[k] * zeta
-_CONJ_CONST = {3: -1, 4: 0, 6: 1}
-_CONJ_LIN = {3: -1, 4: -1, 6: -1}
-
 
 class CycError(ValueError):
     pass
+
+
+def _prime_factors(k):
+    primes, f = [], 2
+    while f * f <= k:
+        if k % f == 0:
+            primes.append(f)
+            while k % f == 0:
+                k //= f
+        f += 1
+    return primes + [k] if k > 1 else primes
+
+
+@lru_cache(maxsize=64)
+def cyclotomic_polynomial(k):
+    """Integer coefficients of Phi_k, constant term first; monic of degree
+    phi(k).  Phi_k = prod over squarefree divisors e of k of
+    (x^(k/e) - 1)^mu(e): multiply by the factors with mu(e) = 1, then divide
+    exactly by those with mu(e) = -1."""
+    if k < 1:
+        raise CycError("cyclotomic polynomials need k >= 1")
+    primes = _prime_factors(k)
+    poly = [1]
+    divisors = []
+    for r in range(len(primes) + 1):
+        for subset in combinations(primes, r):
+            d = k // math.prod(subset)
+            if r % 2:
+                divisors.append(d)
+            else:  # poly * (x^d - 1)
+                poly = [(poly[i - d] if i >= d else 0) - (poly[i] if i < len(poly) else 0)
+                        for i in range(len(poly) + d)]
+    for d in divisors:  # poly / (x^d - 1), from the top coefficient down
+        q = [0] * (len(poly) - d)
+        for j in range(len(q) - 1, -1, -1):
+            q[j] = poly[j + d] + (q[j + d] if j + d < len(q) else 0)
+        poly = q
+    return tuple(poly)
+
+
+def zeta_powers(k, exponents):
+    """Integer coordinates (len(exponents), phi(k)) of zeta^j over the power
+    basis 1, zeta, ..., zeta^(phi-1) of Z[zeta_k], for integer exponents j
+    of either sign (Red[j] for j mod k).  Each power is reached by
+    multiplying by zeta or by its inverse, whichever takes fewer steps, and
+    reduced with Phi_k = a_0 + a_1 x + ... + x^phi:
+    zeta^phi = -(a_0 + ... + a_(phi-1) zeta^(phi-1)) and, as a_0 = 1 for
+    k >= 2, zeta^-1 = -(a_1 + a_2 zeta + ... + a_phi zeta^(phi-1))."""
+    if k < 3:
+        raise CycError("root order must be >= 3")
+    a = np.array(cyclotomic_polynomial(k), dtype=np.int64)
+    phi = len(a) - 1
+    out = np.zeros((len(exponents), phi), dtype=np.int64)
+    for row, j in enumerate(exponents):
+        j %= k
+        c = np.zeros(phi, dtype=np.int64)
+        c[0] = 1
+        if j <= k - j:
+            for _ in range(j):
+                c = np.concatenate(([0], c[:-1])) - c[-1] * a[:-1]
+        else:
+            for _ in range(k - j):
+                c = np.concatenate((c[1:], [0])) - c[0] * a[1:]
+        out[row] = c
+    return out
+
+
+# zeta^2 = _SQ_CONST[k] + _SQ_LIN[k] * zeta and
+# conj(zeta) = zeta^-1 = _CONJ_CONST[k] + _CONJ_LIN[k] * zeta
+_SQ_CONST, _SQ_LIN = ({k: int(zeta_powers(k, (2,))[0, i]) for k in EXACT_ORDERS} for i in (0, 1))
+_CONJ_CONST, _CONJ_LIN = ({k: int(zeta_powers(k, (-1,))[0, i]) for k in EXACT_ORDERS}
+                          for i in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -273,14 +342,22 @@ def exact_matmul(X: ExactHermitianMatrix, Y: ExactHermitianMatrix):
     return comp_a, comp_b
 
 
-def exact_quadratic_check(H: ExactHermitianMatrix, p: int, q: int) -> bool:
-    """Decide H^2 - p*H + q*I = 0 exactly over Z[zeta_k]."""
-    if abs(p) * max(1, _max_abs(H.A, H.B)) + abs(q) >= _INT_LIMIT:
+def exact_quadratic_checks(H: ExactHermitianMatrix, pairs) -> list:
+    """For each (p, q) of pairs, whether H^2 - p*H + q*I = 0 exactly over
+    Z[zeta_k].  H is squared once.  Raises CycError, before any product,
+    when p*H + q*I or H^2 could overflow int64."""
+    bound = max(1, _max_abs(H.A, H.B))
+    if any(abs(p) * bound + abs(q) >= _INT_LIMIT for p, q in pairs):
         raise CycError("coefficients p, q could overflow int64")
     sq_a, sq_b = exact_matmul(H, H)
-    res_a = sq_a - p * H.A + q * np.eye(H.n, dtype=np.int64)
-    res_b = sq_b - p * H.B
-    return bool(np.all(res_a == 0) and np.all(res_b == 0))
+    eye = np.eye(H.n, dtype=np.int64)
+    return [bool(np.all(sq_a - p * H.A + q * eye == 0) and np.all(sq_b - p * H.B == 0))
+            for p, q in pairs]
+
+
+def exact_quadratic_check(H: ExactHermitianMatrix, p: int, q: int) -> bool:
+    """Decide H^2 - p*H + q*I = 0 exactly over Z[zeta_k]."""
+    return exact_quadratic_checks(H, [(p, q)])[0]
 
 
 # (R, S) written at (u, v) and at (v, u) by each state of an edge (u, v);
@@ -321,14 +398,25 @@ def relation_stacks(digits, edges, n, mode):
     return RS[..., 0], RS[..., 1]
 
 
+@lru_cache(maxsize=64)
+def _component_lookup(k):
+    """(phi, 3) table: column S + 1 holds the coordinates of conj(zeta) =
+    zeta^(k-1), of 0 and of zeta."""
+    lookup = np.zeros((len(cyclotomic_polynomial(k)) - 1, 3), dtype=np.int64)
+    lookup[:, 0], lookup[:, 2] = zeta_powers(k, (-1, 1))
+    lookup.setflags(write=False)
+    return lookup
+
+
 def exact_components(R, S, k):
-    """Integer components (A, B) of H = A + B*zeta over Z[zeta_k]:
-    A = R + cc*[S < 0] and B = [S > 0] + cl*[S < 0], where
-    conj(zeta) = cc + cl*zeta.  The brackets are lookups of S + 1."""
-    if k not in EXACT_ORDERS:
-        raise CycError(f"no exact arithmetic for order {k}; use complex_matrix")
+    """Integer components (C_0, ..., C_(phi-1)) of H = sum_c C_c zeta^c over
+    the power basis of Z[zeta_k]: C = R*e_0 + [S > 0]*Red[1] +
+    [S < 0]*Red[k-1], where Red[j] are the coordinates of zeta^j.  The
+    brackets are lookups of S + 1.  For k in {3, 4, 6} this is (A, B) with
+    A = R + cc*[S < 0] and B = [S > 0] + cl*[S < 0], conj(zeta) = cc + cl*zeta."""
     idx = S + 1
-    return R + np.array([_CONJ_CONST[k], 0, 0])[idx], np.array([_CONJ_LIN[k], 0, 1])[idx]
+    lookup = _component_lookup(k)
+    return (R + lookup[0][idx],) + tuple(row[idx] for row in lookup[1:])
 
 
 def complex_matrix(R, S, k):
@@ -342,6 +430,8 @@ def complex_matrix(R, S, k):
 
 def build_exact_H(D, k) -> ExactHermitianMatrix:
     """Hermitian adjacency matrix of a mixed graph over Z[zeta_k]."""
+    if k not in EXACT_ORDERS:
+        raise CycError(f"no exact matrices for k={k}")
     return ExactHermitianMatrix(*exact_components(*relation_matrices(D), k), k)
 
 

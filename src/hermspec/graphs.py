@@ -195,8 +195,11 @@ def is_regular(D: MixedGraph) -> bool:
 
 def regular_degree(G: Graph):
     """The common degree of a regular graph, or None when it is irregular."""
-    degs = {G.degree(v) for v in range(G.n)}
-    return degs.pop() if len(degs) == 1 else None
+    degs = [0] * G.n
+    for u, v in G.edges:
+        degs[u] += 1
+        degs[v] += 1
+    return degs[0] if len(set(degs)) == 1 else None
 
 
 def common_neighbors(G: Graph, u, v) -> int:

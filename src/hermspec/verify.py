@@ -18,6 +18,7 @@ from .certify import (
     certify_three_ev_tournament,
     certify_two_ev,
     check_s_bound,
+    two_ev_candidates,
 )
 from .constructions import (
     complete_mixed,
@@ -39,6 +40,7 @@ from .cyclotomic import (
     exact_components,
     relation_stacks,
     signed_adjacency,
+    zeta_powers,
 )
 from .graphs import (
     Graph,
@@ -53,12 +55,10 @@ from .graphs import (
     is_bipartite,
     is_connected,
     k55_minus_matching,
+    regular_degree,
     underlying,
 )
 from .search import (
-    _candidate_pq,
-    _exact_two_ev_mask,
-    _float_two_ev_mask,
     connected_edge_subsets,
     scan_connected_oriented_graphs,
     search_mixed_orientations,
@@ -319,6 +319,50 @@ def check_large_k_desk(scale="full"):
     if elapsed >= 120:
         return False, f"desk checks took {elapsed:.1f}s, budget 120s"
     return True, "; ".join(details) + f"; {elapsed:.1f}s"
+
+
+def _candidate_pq(G: Graph):
+    """(p, q) candidates for the exact two-eigenvalue identity, or [] when
+    the underlying graph is irregular (its H^2 diagonal, the degree
+    sequence, can then never be constant)."""
+    d = regular_degree(G)
+    if d is None or d == 0:
+        return []
+    pairs = []
+    for r_desc, s_desc, p, q in two_ev_candidates(d):
+        r, s = r_desc.value, s_desc.value
+        m = G.n * (-s) / (r - s)
+        if abs(m - round(m)) > 1e-9 or not 0 < round(m) < G.n:
+            continue  # trace can never balance for this pair
+        pairs.append((p, q))
+    return pairs
+
+
+def _exact_two_ev_mask(A, B, k, pq_pairs):
+    """Boolean mask: which batch members satisfy H^2 - pH + qI = 0 for some
+    candidate (p, q).  H = A + B*zeta decomposed over the power basis, where
+    zeta^2 = c0 + c1*zeta."""
+    c0, c1 = zeta_powers(k, (2,))[0]
+    n = A.shape[1]
+    A2 = np.matmul(A, A)
+    B2 = np.matmul(B, B)
+    cross = np.matmul(A, B) + np.matmul(B, A)
+    real_base = A2 + c0 * B2
+    imag_base = cross + c1 * B2
+    eye = np.eye(n, dtype=np.int64)
+    mask = np.zeros(A.shape[0], dtype=bool)
+    for p, q in pq_pairs:
+        res_r = real_base - p * A + q * eye
+        res_i = imag_base - p * B
+        mask |= (np.abs(res_r).max(axis=(1, 2)) == 0) & (np.abs(res_i).max(axis=(1, 2)) == 0)
+    return mask
+
+
+def _float_two_ev_mask(H, tol):
+    """Cluster count == 2 via batched eigensolves."""
+    eigs = np.linalg.eigvalsh(H)
+    gaps = np.diff(eigs, axis=1) > tol
+    return gaps.sum(axis=1) == 1
 
 
 def _random_mixed_graph(rng, n, p=0.5):

@@ -58,6 +58,19 @@ class TestCandidates:
 
 
 class TestTwoEv:
+    def test_one_square_per_certificate(self, monkeypatch):
+        # K7 undirected (eigenvalues 6, -1) is decided by the fifth of the
+        # d = 6 candidates; H is squared once for all of them
+        import hermspec.cyclotomic as cyc
+        calls = []
+        real = cyc.exact_matmul
+        monkeypatch.setattr(cyc, "exact_matmul", lambda X, Y: calls.append(1) or real(X, Y))
+        cert = certify_two_ev(complete_mixed(7), 6)
+        assert cert.verdict and (cert.r, cert.s) == (6.0, -1.0)
+        assert len(calls) == 1
+        assert not certify_two_ev(cube_mixed(), 6).verdict
+        assert len(calls) == 2
+
     def test_directed_edge(self):
         cert = certify_two_ev(directed_edge(), 6)
         assert cert.verdict and cert.method == "exact-identity"

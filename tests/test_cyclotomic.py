@@ -12,13 +12,18 @@ from hermspec.cyclotomic import (
     RootOfUnity,
     build_exact_H,
     build_float_H,
+    complex_matrix,
+    cyclotomic_polynomial,
+    exact_components,
     exact_matmul,
     exact_quadratic_check,
+    exact_quadratic_checks,
     one,
     relation_matrices,
     relation_stacks,
     signed_adjacency,
     zeta,
+    zeta_powers,
 )
 from hermspec.graphs import MixedGraph, OrientedGraph, SignedGraph
 from hermspec.search import (
@@ -295,3 +300,108 @@ class TestRelationMatrices:
                 for row, r, s in zip(digits, R, S):
                     R1, S1 = relation_matrices(decode(row, G.edges, n))
                     assert np.array_equal(r, R1) and np.array_equal(s, S1), (G.edges, row)
+
+
+def _power_mod(j, phi_k):
+    """Coordinates of x^j mod Phi_k by schoolbook long division."""
+    rem = [0] * j + [1]
+    deg = len(phi_k) - 1
+    for top in range(len(rem) - 1, deg - 1, -1):
+        lead = rem[top]
+        for i, a in enumerate(phi_k):
+            rem[top - deg + i] -= lead * a
+    return (rem + [0] * deg)[:deg]
+
+
+class TestPowerBasis:
+    def test_cyclotomic_polynomials_multiply_to_x_k_minus_1(self):
+        for k in range(1, 61):
+            prod = np.array([1])
+            for d in range(1, k + 1):
+                if k % d == 0:
+                    prod = np.convolve(prod, cyclotomic_polynomial(d))
+            assert prod.tolist() == [-1] + [0] * (k - 1) + [1], k
+
+    def test_known_polynomials(self):
+        assert cyclotomic_polynomial(5) == (1, 1, 1, 1, 1)
+        assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
+        assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+        # the first cyclotomic polynomial with a coefficient outside {-1, 0, 1}
+        assert cyclotomic_polynomial(105)[7] == -2
+
+    def test_powers_match_long_division(self):
+        for k in range(3, 31):
+            phi_k = list(cyclotomic_polynomial(k))
+            table = zeta_powers(k, range(-k, 2 * k))
+            for row, j in zip(table, range(-k, 2 * k)):
+                assert row.tolist() == _power_mod(j % k, phi_k), (k, j)
+
+    def test_powers_embed_to_roots_of_unity(self):
+        for k in range(3, 31):
+            z = cmath.exp(2j * math.pi / k)
+            table = zeta_powers(k, range(-13, 14))
+            emb = table @ z ** np.arange(table.shape[1])
+            assert np.max(np.abs(emb - z ** np.arange(-13, 14))) < 1e-9, k
+
+    def test_quadratic_orders_read_off_the_table(self):
+        # zeta^2 and conj(zeta) = zeta^(k-1) at k = 3, 4, 6, as listed in the
+        # module docstring
+        assert zeta_powers(6, (2, 5)).tolist() == [[-1, 1], [1, -1]]
+        assert zeta_powers(4, (2, 3)).tolist() == [[-1, 0], [0, -1]]
+        assert zeta_powers(3, (2, -1)).tolist() == [[-1, -1], [-1, -1]]
+        for k in (3, 4, 6):
+            assert zeta(k) * zeta(k) == CycInt(*zeta_powers(k, (2,))[0].tolist(), k)
+            assert zeta(k).conj() == CycInt(*zeta_powers(k, (k - 1,))[0].tolist(), k)
+
+    def test_bad_order(self):
+        with pytest.raises(CycError):
+            zeta_powers(2, (1,))
+        with pytest.raises(CycError):
+            exact_components(np.zeros((2, 2), dtype=np.int8), np.zeros((2, 2), dtype=np.int8), 2)
+
+
+class TestExactComponents:
+    def test_quadratic_orders_give_a_b(self):
+        cc = {3: -1, 4: 0, 6: 1}
+        cl = {3: -1, 4: -1, 6: -1}
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            D, S = _random_graphs(rng, int(rng.integers(1, 8)))
+            for G in (D, S):
+                R, Sm = relation_matrices(G)
+                for k in (3, 4, 6):
+                    A, B = exact_components(R, Sm, k)
+                    assert np.array_equal(A, R + cc[k] * (Sm < 0))
+                    assert np.array_equal(B, (Sm > 0) + cl[k] * (Sm < 0))
+                    assert A.dtype == np.int64 and B.dtype == np.int64
+
+    def test_every_order_embeds_to_the_complex_matrix(self):
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            D, S = _random_graphs(rng, int(rng.integers(1, 8)))
+            for G in (D, S):
+                R, Sm = relation_matrices(G)
+                for k in range(3, 25):
+                    comps = exact_components(R, Sm, k)
+                    assert len(comps) == len(cyclotomic_polynomial(k)) - 1
+                    z = cmath.exp(2j * math.pi / k)
+                    H = sum(C * z ** c for c, C in enumerate(comps))
+                    assert np.max(np.abs(H - complex_matrix(R, Sm, k)), initial=0) < 1e-12
+
+    def test_quadratic_checks_square_once(self, monkeypatch):
+        import hermspec.cyclotomic as cyc
+        H = build_exact_H(MixedGraph(4, edges=tuple((u, v) for u in range(4)
+                                                   for v in range(u + 1, 4))), 6)
+        # K4 undirected: H^2 = 2H + 3I
+        pairs = [(0, -3), (2, -3), (-2, -3), (1, 0)]
+        assert exact_quadratic_checks(H, pairs) == [False, True, False, False]
+        assert exact_quadratic_checks(H, pairs) == [exact_quadratic_check(H, p, q)
+                                                    for p, q in pairs]
+        calls = []
+        real = cyc.exact_matmul
+        monkeypatch.setattr(cyc, "exact_matmul", lambda X, Y: calls.append(1) or real(X, Y))
+        exact_quadratic_checks(H, pairs)
+        assert len(calls) == 1
+        with pytest.raises(CycError, match="overflow"):
+            exact_quadratic_checks(H, [(0, -3), (2 ** 70, 0)])
+        assert len(calls) == 1  # refused before the square

@@ -20,8 +20,10 @@ from hermspec.graphs import (
     is_regular,
     is_triangle_free,
     k55_minus_matching,
+    regular_degree,
     underlying,
 )
+from hermspec.search import connected_edge_subsets
 from hermspec.constructions import oriented_k33, oriented_k55_minus_matching, regular_tournament
 from hermspec.cyclotomic import build_float_H
 from hermspec.spectra import hermitian_eigenvalues
@@ -82,6 +84,22 @@ class TestDegrees:
         assert not is_regular(D)
         profile = DegreeProfile.of(D)
         assert all(sorted(t[:2]) == [1, 2] for t in profile.triples)
+
+    def test_regular_degree_matches_per_vertex_degree(self):
+        graphs = [G for n in range(2, 6) for G in connected_edge_subsets(n)]
+        graphs += [Graph(0, ()), Graph(1, ()), Graph(4, ()), Graph(4, ((0, 1), (2, 3))),
+                   Graph(4, ((0, 1), (1, 2))), Graph(3, ((0, 1), (1, 2)))]
+        regular = 0
+        for G in graphs:
+            degs = {G.degree(v) for v in range(G.n)}
+            expected = degs.pop() if len(degs) == 1 else None
+            assert regular_degree(G) == expected, G.edges
+            regular += expected is not None
+        assert regular_degree(Graph(4, ())) == 0
+        assert regular_degree(Graph(4, ((0, 1), (2, 3)))) == 1
+        assert regular_degree(Graph(4, ((0, 1), (1, 2)))) is None
+        assert regular_degree(Graph(0, ())) is None
+        assert regular > 20
 
     def test_handshake(self):
         rng = np.random.default_rng(1)

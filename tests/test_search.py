@@ -4,27 +4,35 @@ import numpy as np
 import pytest
 
 from hermspec.constructions import mixed_c4, oriented_k33, oriented_k55_minus_matching
-from hermspec.cyclotomic import exact_components, relation_stacks, signed_adjacency
+from hermspec.cyclotomic import (
+    EDGE_STATES,
+    complex_matrix,
+    exact_components,
+    relation_stacks,
+    signed_adjacency,
+)
 from hermspec.graphs import (
     Graph,
+    MixedGraph,
     OrientedGraph,
     SignedGraph,
     are_isomorphic,
     complete_bipartite,
     complete_graph,
+    cube_graph,
     cycle_graph,
     is_connected,
     k55_minus_matching,
+    regular_degree,
     underlying,
 )
+import hermspec.search as search_module
 from hermspec.search import (
     SearchError,
-    _candidate_pq,
     _canonical_sort,
     _decode_mixed,
     _decode_oriented,
     _decode_signed,
-    _exact_two_ev_mask,
     _visit_plan,
     connected_edge_subsets,
     dedup_up_to_iso,
@@ -34,6 +42,7 @@ from hermspec.search import (
     search_signings,
 )
 from hermspec.spectra import hermitian_eigenvalues
+from hermspec.verify import _candidate_pq, _exact_two_ev_mask
 
 
 class TestOrientations:
@@ -84,7 +93,7 @@ class TestOrientations:
         assert set(threaded.hits) == set(base.hits)
 
     def test_float_route_inexact_order(self):
-        # k = 12 has no exact arithmetic; the float clustering route still
+        # k = 12 is outside {3, 4, 6}; the exact scan over Z[zeta_12] still
         # finds both orientations of a single edge
         rep = search_orientations(complete_graph(2), 12)
         assert len(rep.hits) == 2
@@ -168,6 +177,58 @@ class TestDedup:
         assert dedup_up_to_iso([b, a, b, c, a2, c]) == (b, a, c)
 
 
+def _greedy_dedup(graphs):
+    """The pairwise greedy loop: each graph against every representative."""
+    reps = []
+    for g in graphs:
+        if not any(are_isomorphic(g, r) for r in reps):
+            reps.append(g)
+    return tuple(reps)
+
+
+def _random_mixed(rng, n):
+    arcs, edges = [], []
+    for u in range(n):
+        for v in range(u + 1, n):
+            kind = int(rng.integers(4))
+            if kind == 1:
+                arcs.append((u, v))
+            elif kind == 2:
+                arcs.append((v, u))
+            elif kind == 3:
+                edges.append((u, v))
+    return MixedGraph(n, tuple(arcs), tuple(edges))
+
+
+def _relabel(D, perm):
+    return MixedGraph(D.n, tuple((perm[u], perm[v]) for u, v in D.arcs),
+                      tuple((perm[u], perm[v]) for u, v in D.edges))
+
+
+class TestBucketedDedup:
+    @pytest.mark.parametrize("G, mode, k", [(complete_bipartite(4, 4), "oriented", 4),
+                                            (complete_bipartite(3, 3), "mixed", 3),
+                                            (cube_graph(3), "oriented", 4),
+                                            (complete_graph(5), "mixed", 6)])
+    def test_hit_lists(self, G, mode, k):
+        hits = _scan(G, k, mode).hits
+        assert len(hits) > 30
+        assert dedup_up_to_iso(hits) == _greedy_dedup(hits)
+
+    def test_random_mixed_graphs(self):
+        rng = np.random.default_rng(7)
+        graphs = []
+        for _ in range(150):
+            D = _random_mixed(rng, int(rng.integers(1, 8)))
+            graphs.append(D)
+            for _ in range(int(rng.integers(0, 3))):
+                graphs.append(_relabel(D, [int(x) for x in rng.permutation(D.n)]))
+        graphs = [graphs[i] for i in rng.permutation(len(graphs))]
+        reps = dedup_up_to_iso(graphs)
+        assert reps == _greedy_dedup(graphs)
+        assert len(reps) < len(graphs)
+
+
 class TestEnumeration:
     def test_connected_edge_subsets_counts(self):
         # number of connected labeled graphs on n vertices: 1, 1, 4, 38
@@ -213,12 +274,35 @@ def _brute_force(G, k, mode):
     return hits, dedup_up_to_iso(hits)
 
 
+def _float_brute_force(G, k, mode):
+    """Oracle: batched eigvalsh over every assignment; a hit has exactly two
+    eigenvalue clusters at tolerance 1e-6."""
+    edges = list(G.edges)
+    base = len(EDGE_STATES[mode])
+    digits = (np.arange(base ** len(edges))[:, None] // base ** np.arange(len(edges))) % base
+    eigs = np.linalg.eigvalsh(complex_matrix(*relation_stacks(digits, edges, G.n, mode), k))
+    mask = (np.diff(eigs, axis=1) > 1e-6).sum(axis=1) == 1
+    decode = {"oriented": _decode_oriented, "mixed": _decode_mixed}[mode]
+    hits = _canonical_sort([decode(row, edges, G.n) for row in digits[mask]])
+    return hits, dedup_up_to_iso(hits)
+
+
 def _scan(G, k, mode, **kw):
     if mode == "oriented":
         return search_orientations(G, k, **kw)
     if mode == "mixed":
         return search_mixed_orientations(G, k, **kw)
     return search_signings(G, **kw)
+
+
+def _assert_split_and_chunk_invariant(G, k, mode):
+    base = _scan(G, k, mode)
+    assert base.hits
+    variants = [dict(partitions=p) for p in (1, 3, 7)]
+    variants += [dict(threads=2), dict(chunk=1), dict(threads=2, partitions=7, chunk=1)]
+    for kw in variants:
+        rep = _scan(G, k, mode, **kw)
+        assert (rep.hits, rep.hits_up_to_iso) == (base.hits, base.hits_up_to_iso), kw
 
 
 class TestFrontierOracle:
@@ -240,13 +324,59 @@ class TestFrontierOracle:
     @pytest.mark.parametrize("G, mode", [(complete_bipartite(3, 3), "oriented"),
                                          (cycle_graph(4), "mixed")])
     def test_split_and_chunk_invariance(self, G, mode):
-        base = _scan(G, 6, mode)
-        assert base.hits
-        variants = [dict(partitions=p) for p in (1, 3, 7)]
-        variants += [dict(threads=2), dict(chunk=1), dict(threads=2, partitions=7, chunk=1)]
-        for kw in variants:
-            rep = _scan(G, 6, mode, **kw)
-            assert (rep.hits, rep.hits_up_to_iso) == (base.hits, base.hits_up_to_iso), kw
+        _assert_split_and_chunk_invariant(G, 6, mode)
+
+    def test_split_and_chunk_invariance_inexact_order(self):
+        _assert_split_and_chunk_invariant(complete_graph(4), 5, "mixed")
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_connected_labelled_graph_inexact_orders(self, n):
+        # eigvalsh over all 3^m mixed assignments of the irregular graphs on
+        # five vertices (about a million per order) is left out for time;
+        # their oriented assignments and every graph on at most four
+        # vertices check the irregular exit against the oracle
+        hit_total = 0
+        for G in connected_edge_subsets(n):
+            for mode in ("oriented", "mixed"):
+                if mode == "mixed" and n == 5 and regular_degree(G) is None:
+                    continue
+                for k in (5, 7, 8, 9, 10, 11, 12):
+                    rep = _scan(G, k, mode)
+                    hits, reps = _float_brute_force(G, k, mode)
+                    assert (rep.hits, rep.hits_up_to_iso) == (hits, reps), (G.edges, mode, k)
+                    hit_total += len(hits)
+        assert hit_total > 0
+
+    @pytest.mark.parametrize("k", [17, 29, 97])
+    def test_orders_beyond_the_fold_width(self, k):
+        # phi(k) > 13: the residual fold keeps 13 of the power-basis columns
+        cases = [(complete_graph(4), "mixed"), (cycle_graph(4), "mixed"),
+                 (complete_graph(5), "mixed"), (complete_bipartite(3, 3), "oriented")]
+        for G, mode in cases:
+            rep = _scan(G, k, mode)
+            assert (rep.hits, rep.hits_up_to_iso) == _float_brute_force(G, k, mode), (mode, k)
+
+    def test_pinned_inexact_orders(self):
+        def counts(rep):
+            return rep.space_size, len(rep.hits), len(rep.hits_up_to_iso)
+
+        assert counts(search_orientations(complete_bipartite(4, 4), 5)) == (2 ** 16, 0, 0)
+        assert counts(search_orientations(complete_bipartite(4, 4), 8)) == (2 ** 16, 0, 0)
+        assert counts(search_mixed_orientations(complete_graph(5), 5)) == (3 ** 10, 31, 5)
+
+    def test_laurent_digits_round_trip(self):
+        rng = np.random.default_rng(3)
+        for count in (5, 7, 9):
+            digits = rng.integers(-64, 64, size=(200, count))
+            digits[0], digits[1] = -64, 63
+            packed = np.array([sum(int(d) << 7 * i for i, d in enumerate(row)) for row in digits],
+                              dtype=np.int64)
+            assert np.array_equal(search_module._laurent_digits(packed, count), digits)
+
+    def test_degree_beyond_the_packing_bound_refused(self, monkeypatch):
+        monkeypatch.setattr(search_module, "MAX_SPACE", float("inf"))
+        with pytest.raises(SearchError, match="degree 32"):
+            search_orientations(complete_graph(33), 6)
 
     def test_k55_minus_matching(self):
         rep = search_orientations(k55_minus_matching(), 6)
